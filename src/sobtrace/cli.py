@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -16,20 +15,6 @@ from . import domains, isoperimetry, lorentz, rearrangement, traces
 
 GALLERY_TAGS = sorted(domains._GALLERY) + ["rectangle"]
 FIELDS = ("inv_d", "hardy_ratio")
-
-
-def _limit_threads() -> None:
-    n = os.environ.get("SOBTRACE_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(int(n))
-    except Exception:
-        pass
 
 
 def _build_domain(args) -> domains.Domain:
@@ -500,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "gallery", None) is None and args.command in ("render", "scan",

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .lorentz import DistributionModel
 
 __all__ = [
     "Domain",
     "GridDomain",
+    "face_pairs",
     "RatioEstimate",
     "BallPortionReport",
     "ball_volume",
@@ -119,9 +119,9 @@ class Domain:
     dimension: int
     bbox: np.ndarray
     inside: Callable
-    distance_fn: Callable | None
     measure: float | None
     descriptor: dict
+    distance_fn: Callable | None = None
     boundary: tuple = ()
     distance_distribution: Callable | None = None
     ratio_models: dict = field(default_factory=dict)
@@ -131,6 +131,14 @@ class Domain:
     profile_lower_bound: Callable | None = None
     registered_witnesses: Callable | None = None
     thinnest_feature: float | None = None
+
+    def __post_init__(self):
+        # a domain without a closed form measures distance to its primitives;
+        # boundary_distance is looked up per call so it can be rebound
+        if self.distance_fn is None and self.boundary:
+            prims = self.boundary
+            object.__setattr__(self, "distance_fn",
+                               lambda pts: boundary_distance(prims, pts))
 
     def to_json(self) -> str:
         return json.dumps(self.descriptor, sort_keys=True)
@@ -142,7 +150,7 @@ def distance(dom: Domain, x) -> float:
     if not bool(np.asarray(dom.inside(x))):
         raise ValueError(f"point {x.tolist()} is not inside the domain")
     if dom.distance_fn is None:
-        raise ValueError("domain has no exact distance oracle; rasterize instead")
+        raise ValueError("domain has no exact distance oracle")
     return float(np.asarray(dom.distance_fn(x)))
 
 
@@ -421,9 +429,6 @@ def rooms_and_passages(kmax: int = 12) -> Domain:
         prims.append(("segment", (x_exit[k], -hw[k]), (x_entry[k], -hw[k])))
     prims = tuple(prims)
 
-    def dist(pts):
-        return boundary_distance(prims, pts)
-
     def witnesses(gd: "GridDomain", s: float):
         out = []
         for m in range(2, kmax + 1):
@@ -453,7 +458,6 @@ def rooms_and_passages(kmax: int = 12) -> Domain:
         dimension=2,
         bbox=bbox,
         inside=inside,
-        distance_fn=dist,
         measure=geo["measure"],
         descriptor={
             "tag": "rooms_and_passages",
@@ -514,9 +518,6 @@ def squares_stack(kmax: int = 12) -> Domain:
             prims.append(("segment", (r, 0.0), (float(lefts[k - 1]), 0.0)))
     prims = tuple(prims)
 
-    def dist(pts):
-        return boundary_distance(prims, pts)
-
     # gap-midpoint probes with ball radius = adjacent square side: the
     # complement portion decays like 1/(pi (2^k - 1)) along k
     seq = []
@@ -532,7 +533,6 @@ def squares_stack(kmax: int = 12) -> Domain:
         dimension=2,
         bbox=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         inside=inside,
-        distance_fn=dist,
         measure=float(2.0 + np.sum(sides**2)),
         descriptor={
             "tag": "squares_stack",
@@ -594,9 +594,6 @@ def crocodile(kmax: int = 12) -> Domain:
                       (float(bx[i + 1]), float(by[i + 1]))))
     prims = tuple(prims)
 
-    def dist(pts):
-        return boundary_distance(prims, pts)
-
     probe_list = [((0.0, 0.0), (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))]
     for k in (1, 2, 3):
         probe_list.append(((2.0 * 3.0**-k, 3.0**-k), (3.0**-k / 2, 3.0**-k / 4)))
@@ -606,7 +603,6 @@ def crocodile(kmax: int = 12) -> Domain:
         dimension=2,
         bbox=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         inside=inside,
-        distance_fn=dist,
         measure=3.75,
         descriptor={"tag": "crocodile", "kmax": kmax},
         boundary=prims,
@@ -653,9 +649,6 @@ def skyscrapers(kmax: int = 12) -> Domain:
             prims.append(("segment", (nxt, 0.0), (l, 0.0)))
     prims = tuple(prims)
 
-    def dist(pts):
-        return boundary_distance(prims, pts)
-
     def partition(gd: "GridDomain") -> list[np.ndarray]:
         cx, cy = gd.center_axes()
         X, Y = np.meshgrid(cx, cy, indexing="ij")
@@ -674,7 +667,6 @@ def skyscrapers(kmax: int = 12) -> Domain:
         dimension=2,
         bbox=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         inside=inside,
-        distance_fn=dist,
         measure=float(2.0 + np.sum(widths)),
         descriptor={
             "tag": "skyscrapers",
@@ -755,6 +747,20 @@ class GridDomain:
         return buf.getvalue()
 
 
+def face_pairs(ndim: int):
+    """Per axis, the index tuples (lo, hi) with a[lo] and a[hi] face neighbours.
+
+    ``lo`` drops the last slab along the axis and ``hi`` the first, so
+    a[hi][i] is the cell one step up the axis from a[lo][i].
+    """
+    for axis in range(ndim):
+        lo = [slice(None)] * ndim
+        hi = [slice(None)] * ndim
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        yield tuple(lo), tuple(hi)
+
+
 def _cells_beyond(gd: GridDomain, axis: int, cut: float) -> np.ndarray:
     ax = gd.center_axes()[axis]
     sel = ax > cut
@@ -769,10 +775,15 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
     Cell (i_1, ..., i_N) is centered at origin + (i + 1/2) h.  Bounding-box
     sides that are not whole multiples of h are covered by ceil(side/h)
     cells.  A warning is issued when the domain's thinnest feature falls
-    below 2h (such features cannot hold any cell center reliably).
+    below 2h (such features cannot hold any cell center reliably).  Raises
+    ValueError for a non-finite or non-positive h, a domain with no exact
+    distance oracle, or a grid with no cell center inside the domain.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    if dom.distance_fn is None:
+        raise ValueError("domain has no exact distance oracle: give it "
+                         "distance_fn or boundary primitives")
     notes = []
     sides = dom.bbox[:, 1] - dom.bbox[:, 0]
     counts = [max(1, math.ceil(s / h - 1e-12)) for s in sides]
@@ -791,12 +802,11 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(grids, axis=-1)
     occ = np.asarray(dom.inside(pts), dtype=bool)
-    if dom.distance_fn is not None:
-        dist_vals = np.asarray(dom.distance_fn(pts), dtype=float)
-        dist_field = np.where(occ, dist_vals, 0.0)
-    else:
-        dist_field = _fallback_distance(occ, pts, h)
-        notes.append("distance by nearest boundary cell center (bias <= h sqrt(N))")
+    if not occ.any():
+        raise ValueError(f"no cell center of the grid with h = {h:g} lies "
+                         "inside the domain")
+    dist_vals = np.asarray(dom.distance_fn(pts), dtype=float)
+    dist_field = np.where(occ, dist_vals, 0.0)
     return GridDomain(
         domain=dom,
         h=float(h),
@@ -805,31 +815,6 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
         distance_field=dist_field,
         notes=tuple(notes),
     )
-
-
-def _fallback_distance(occ: np.ndarray, pts: np.ndarray, h: float) -> np.ndarray:
-    boundary_adjacent = np.zeros_like(occ)
-    for axis in range(occ.ndim):
-        lo = [slice(None)] * occ.ndim
-        hi = [slice(None)] * occ.ndim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        diff = occ[tuple(lo)] != occ[tuple(hi)]
-        boundary_adjacent[tuple(lo)] |= diff & occ[tuple(lo)]
-        boundary_adjacent[tuple(hi)] |= diff & occ[tuple(hi)]
-        edge_lo = [slice(None)] * occ.ndim
-        edge_lo[axis] = 0
-        edge_hi = [slice(None)] * occ.ndim
-        edge_hi[axis] = -1
-        boundary_adjacent[tuple(edge_lo)] |= occ[tuple(edge_lo)]
-        boundary_adjacent[tuple(edge_hi)] |= occ[tuple(edge_hi)]
-    if not boundary_adjacent.any():
-        return np.where(occ, np.inf, 0.0)
-    tree = cKDTree(pts[boundary_adjacent])
-    d, _idx = tree.query(pts[occ])
-    out = np.zeros(occ.shape)
-    out[occ] = d + 0.5 * h
-    return out
 
 
 # ---------------------------------------------------------------------------

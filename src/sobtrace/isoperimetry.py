@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import Domain, GridDomain, rooms_geometry, rooms_tail_cut
+from .domains import Domain, GridDomain, face_pairs, rooms_geometry, rooms_tail_cut
 
 __all__ = [
     "GridSet",
@@ -54,14 +54,9 @@ def _face_count(mask: np.ndarray, inside: np.ndarray) -> int:
     """Interior faces between mask cells and inside-but-not-mask cells."""
     other = inside & ~mask
     total = 0
-    for axis in range(mask.ndim):
-        lo = [slice(None)] * mask.ndim
-        hi = [slice(None)] * mask.ndim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        a, b = mask[tuple(lo)], mask[tuple(hi)]
-        c, d = other[tuple(lo)], other[tuple(hi)]
-        total += int(np.count_nonzero(a & d)) + int(np.count_nonzero(c & b))
+    for lo, hi in face_pairs(mask.ndim):
+        total += int(np.count_nonzero(mask[lo] & other[hi]))
+        total += int(np.count_nonzero(other[lo] & mask[hi]))
     return total
 
 
@@ -289,13 +284,9 @@ def _local_search(gd: GridDomain, mask: np.ndarray, s: float, budget: int,
 def _touches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cells of b adjacent (face-wise) to at least one cell of a."""
     out = np.zeros_like(b)
-    for axis in range(a.ndim):
-        lo = [slice(None)] * a.ndim
-        hi = [slice(None)] * a.ndim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        out[tuple(lo)] |= a[tuple(hi)]
-        out[tuple(hi)] |= a[tuple(lo)]
+    for lo, hi in face_pairs(a.ndim):
+        out[lo] |= a[hi]
+        out[hi] |= a[lo]
     return out & b
 
 

@@ -18,10 +18,26 @@ __all__ = [
     "StepRearrangement",
     "distribution",
     "rearrange",
-    "evaluate_rearrangement",
 ]
 
 _REL_TOL = 1e-12
+
+
+def _csv_columns(text: str, header: str) -> tuple[list[float], list[float]]:
+    """The two float columns of CSV text whose first non-blank line is header."""
+    rows = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip()]
+    if not rows or rows[0][1] != header:
+        raise ValueError(f"expected header {header!r}")
+    first, second = [], []
+    for n, ln in rows[1:]:
+        try:
+            a, b = (float(x) for x in ln.split(","))
+        except ValueError:
+            raise ValueError(f"line {n}: expected {header!r}, got {ln!r}") from None
+        first.append(a)
+        second.append(b)
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -92,15 +108,8 @@ class SampledFunction:
 
     @classmethod
     def from_csv(cls, text: str, label: str = "") -> "SampledFunction":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "value,measure":
-            raise ValueError("expected header 'value,measure'")
-        rows = [ln.split(",") for ln in lines[1:]]
-        return cls(
-            values=np.array([float(r[0]) for r in rows]),
-            measures=np.array([float(r[1]) for r in rows]),
-            label=label,
-        )
+        values, measures = _csv_columns(text, "value,measure")
+        return cls(values=np.array(values), measures=np.array(measures), label=label)
 
 
 @dataclass(frozen=True)
@@ -160,13 +169,8 @@ class StepRearrangement:
 
     @classmethod
     def from_csv(cls, text: str) -> "StepRearrangement":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "t_break,level":
-            raise ValueError("expected header 't_break,level'")
-        rows = [ln.split(",") for ln in lines[1:]]
-        breaks = [0.0] + [float(r[0]) for r in rows]
-        levels = [float(r[1]) for r in rows]
-        return cls(breakpoints=np.array(breaks), levels=np.array(levels))
+        breaks, levels = _csv_columns(text, "t_break,level")
+        return cls(breakpoints=np.array([0.0] + breaks), levels=np.array(levels))
 
 
 def distribution(f: SampledFunction, xi: float) -> float:
@@ -199,8 +203,3 @@ def rearrange(f: SampledFunction) -> StepRearrangement:
     breaks = np.concatenate(([0.0], np.cumsum(sums)))
     return StepRearrangement(breakpoints=breaks, levels=levels)
 
-
-def evaluate_rearrangement(r: StepRearrangement, t: float) -> float:
-    """Value f*(t) for 0 <= t < total_measure (right-continuous steps)."""
-    t = float(t)
-    return float(r(t))

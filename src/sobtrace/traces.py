@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .domains import GridDomain
+from .domains import GridDomain, face_pairs
 from .lorentz import ACReport, ac_diagnostic, weak_tail_extrapolate
 from .rearrangement import SampledFunction, distribution, rearrange
 
@@ -93,17 +93,14 @@ def gradient_magnitude(u: GridFunction) -> np.ndarray:
     v = u.values
     h = gd.h
     total = np.zeros(occ.shape)
-    for axis in range(occ.ndim):
-        vp = np.roll(v, -1, axis=axis)
-        vm = np.roll(v, 1, axis=axis)
-        has_p = np.roll(occ, -1, axis=axis).copy()
-        has_m = np.roll(occ, 1, axis=axis).copy()
-        edge_hi = [slice(None)] * occ.ndim
-        edge_hi[axis] = -1
-        edge_lo = [slice(None)] * occ.ndim
-        edge_lo[axis] = 0
-        has_p[tuple(edge_hi)] = False
-        has_m[tuple(edge_lo)] = False
+    for lo, hi in face_pairs(occ.ndim):
+        # value and occupancy of the neighbour one step up (p) / down (m)
+        vp = np.zeros(occ.shape)
+        vm = np.zeros(occ.shape)
+        has_p = np.zeros_like(occ)
+        has_m = np.zeros_like(occ)
+        vp[lo], has_p[lo] = v[hi], occ[hi]
+        vm[hi], has_m[hi] = v[lo], occ[lo]
         g = np.zeros(occ.shape)
         both = has_p & has_m
         g[both] = (vp[both] - vm[both]) / (2.0 * h)
@@ -337,7 +334,7 @@ def approximation_scheme(
     if any(r[4] for r in rows):
         notes.append(f"rows with k > {k_resolve:g} are below grid resolution")
     wne = weak_norm_estimate(u, p=1.0)
-    ac = ac_diagnostic(ratio_field(u), p=p)
+    ac = ac_diagnostic(ratio_field(u), p=1.0)
     sob = sobolev_norm(u, p)
     return DiagnosticReport(
         p=float(p),

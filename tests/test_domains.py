@@ -212,19 +212,32 @@ def test_rasterize_warns_on_thin_features():
 def test_rasterize_validation():
     with pytest.raises(ValueError):
         rasterize(gallery("cube2"), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        rasterize(gallery("cube2"), math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        rasterize(gallery("cube2"), math.nan)
+    # one cell centred at (2.5, 2.5), outside the unit square
+    with pytest.raises(ValueError, match="no cell center"):
+        rasterize(gallery("cube2"), 5.0)
 
 
-def test_fallback_distance_when_no_oracle():
+def test_boundary_primitives_give_the_default_distance():
     dom = dataclasses.replace(gallery("cube2"), distance_fn=None)
-    gd = rasterize(dom, 2.0**-5)
-    assert any("nearest boundary" in note for note in gd.notes)
-    mid = gd.distance_field[16, 16]
-    assert abs(mid - 0.5) <= 2.0**-5 * math.sqrt(2.0)
-    interior_err = np.abs(
-        gd.distance_field[gd.occupancy]
-        - gallery("cube2").distance_fn(gd.centers())[gd.occupancy]
-    ).max()
-    assert interior_err <= 2.0**-5 * math.sqrt(2.0)
+    assert dom.distance_fn is not None
+    for h in (2.0**-5, 2.0**-8):
+        gd = rasterize(dom, h)
+        exact = rasterize(gallery("cube2"), h)
+        assert np.array_equal(gd.distance_field, exact.distance_field)
+    assert distance(dom, [0.25, 0.5]) == 0.25
+
+
+def test_rasterize_needs_a_distance_oracle():
+    dom = dataclasses.replace(gallery("cube3"), distance_fn=None)
+    assert dom.distance_fn is None
+    with pytest.raises(ValueError, match="no exact distance oracle"):
+        rasterize(dom, 2.0**-3)
+    with pytest.raises(ValueError, match="no exact distance oracle"):
+        distance(dom, [0.5, 0.5, 0.5])
 
 
 def test_grid_domain_csv():

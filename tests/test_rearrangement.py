@@ -11,7 +11,6 @@ from sobtrace.rearrangement import (
     SampledFunction,
     StepRearrangement,
     distribution,
-    evaluate_rearrangement,
     rearrange,
 )
 
@@ -48,7 +47,7 @@ def test_evaluation_is_right_open():
     assert r(0.49) == 2.0
     assert r(0.5) == 1.0
     assert r(0.99) == 1.0
-    assert evaluate_rearrangement(r, 0.3) == 2.0
+    assert r(0.3) == 2.0
 
 
 def test_level_measure_matches_distribution():
@@ -153,6 +152,10 @@ def test_csv_header_is_checked():
         SampledFunction.from_csv("a,b\n1,2\n")
     with pytest.raises(ValueError):
         StepRearrangement.from_csv("value,measure\n0,1\n")
+    with pytest.raises(ValueError, match="line 2"):
+        SampledFunction.from_csv("value,measure\n1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        StepRearrangement.from_csv("t_break,level\n0.5,2\n1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sobtrace.domains import gallery, rasterize
+from sobtrace.lorentz import AC_VIOLATED_AT_INFINITY
 from sobtrace.traces import (
     CONSISTENT_WITH_ZERO_TRACE,
     INCONSISTENT_WITH_ZERO_TRACE,
@@ -30,6 +31,11 @@ from sobtrace.traces import (
 @pytest.fixture(scope="module")
 def cube2_g6():
     return rasterize(gallery("cube2"), 2.0**-6)
+
+
+@pytest.fixture(scope="module")
+def pball2_g7():
+    return rasterize(gallery("punctured_ball2"), 2.0**-7)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +201,16 @@ def test_scheme_flags_puncture_singularity(pball2_g9):
                         lambda c: 1.0 - np.sqrt((c**2).sum(axis=-1)), "1-r")
     rep = approximation_scheme(u, 3.0)
     assert rep.verdict == INCONSISTENT_WITH_ZERO_TRACE
+
+
+def test_scheme_reports_ac_in_weak_l1(pball2_g7):
+    # u = 1 - |x| lies in W^{1,2}_0: the criterion space L^{1,inf}_a does
+    # not depend on p, so neither does the scheme's ac report
+    u = sample_function(pball2_g7,
+                        lambda c: 1.0 - np.sqrt((c**2).sum(axis=-1)), "1-r")
+    rep = approximation_scheme(u, 2.0)
+    assert rep.ac.p == 1.0
+    assert rep.ac.verdict != AC_VIOLATED_AT_INFINITY
 
 
 def test_scheme_resolution_flags(cube2_g6):
