@@ -54,55 +54,160 @@ def ball_volume(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact point-to-primitive distances (vectorized over leading axes)
+# exact point-to-primitive distances
+#
+# Points travel as a list of coordinate columns, one contiguous array per
+# axis: numpy adds and gathers those several times faster than the rows of
+# an (M, n) array.
+
+# point sets of at least _CULL_MIN_POINTS points are binned into square tiles
+# of about _TILE_POINTS points, and each tile evaluates only the primitives
+# that can hold the nearest boundary point of one of its points
+_CULL_MIN_POINTS = 4096
+_TILE_POINTS = 256
+# tile culling keeps a primitive within this share of the coordinate scale of
+# the nearest one; rounding errors in the distances are about 2^-50 of it
+_CULL_SLACK = 2.0**-30
 
 
-def _dist_segment(pts: np.ndarray, a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(b, dtype=float) - a
-    L2 = float(d @ d)
-    rel = pts - a
-    if L2 == 0.0:
-        return np.linalg.norm(rel, axis=-1)
-    t = np.clip((rel @ d) / L2, 0.0, 1.0)
-    proj = a + t[..., None] * d
-    return np.linalg.norm(pts - proj, axis=-1)
+def _sum_sq(cols) -> np.ndarray:
+    # column by column: the order np.add.reduce (and so np.linalg.norm) sums
+    # a last axis shorter than 8
+    s = cols[0] * cols[0]
+    for c in cols[1:]:
+        s += c * c
+    return s
 
 
-def _dist_arc(pts: np.ndarray, c, R: float, a0: float, a1: float) -> np.ndarray:
-    """Distance to the arc of circle(c, R) from angle a0 to a1 (a0 < a1)."""
-    c = np.asarray(c, dtype=float)
-    rel = pts - c
-    rho = np.linalg.norm(rel, axis=-1)
-    theta = np.arctan2(rel[..., 1], rel[..., 0])
-    # normalize into [a0, a0 + 2 pi)
-    theta = a0 + np.mod(theta - a0, 2.0 * math.pi)
-    on_arc = theta <= a1
-    radial = np.abs(rho - R)
-    e0 = c + R * np.array([math.cos(a0), math.sin(a0)])
-    e1 = c + R * np.array([math.cos(a1), math.sin(a1)])
-    ends = np.minimum(
-        np.linalg.norm(pts - e0, axis=-1), np.linalg.norm(pts - e1, axis=-1)
-    )
-    return np.where(on_arc, radial, ends)
+def _rows_dot(cols, v: np.ndarray) -> np.ndarray:
+    """The products rows @ v of the points in cols, rounded as numpy does
+    for two or more rows of an (M, n) array."""
+    rows = np.stack(cols, axis=-1)
+    if len(rows) == 1:
+        # numpy sends one row to a dot kernel that rounds differently from
+        # its matrix-vector kernel; a padded row takes the common path
+        return (np.repeat(rows, 2, axis=0) @ v)[:1]
+    return rows @ v
+
+
+def _squared_distance(prim, cols) -> np.ndarray:
+    """Squared distance from the points in cols to one primitive.
+
+    ("segment", a, b) is the closed segment ab; ("arc", c, R, a0, a1) is
+    the arc of circle(c, R) from angle a0 to a1 (a0 < a1).  The arithmetic
+    is that of the distance np.linalg.norm gives, so the square root of the
+    result is that distance bit for bit (the radial term |rho - R| comes
+    back exactly from its square unless that square underflows, below
+    about 1e-154).
+    """
+    if prim[0] == "segment":
+        a = np.asarray(prim[1], dtype=float)
+        d = np.asarray(prim[2], dtype=float) - a
+        L2 = float(d @ d)
+        rel = [x - ai for x, ai in zip(cols, a)]
+        if L2 == 0.0:
+            return _sum_sq(rel)
+        t = np.clip(_rows_dot(rel, d) / L2, 0.0, 1.0)
+        return _sum_sq([x - (ai + t * di) for x, ai, di in zip(cols, a, d)])
+    if prim[0] == "arc":
+        _, c, R, a0, a1 = prim
+        c = np.asarray(c, dtype=float)
+        rx, ry = cols[0] - c[0], cols[1] - c[1]
+        radial = np.sqrt(_sum_sq((rx, ry))) - R
+        # angles normalized into [a0, a0 + 2 pi)
+        theta = a0 + np.mod(np.arctan2(ry, rx) - a0, 2.0 * math.pi)
+        ends = np.inf
+        for angle in (a0, a1):
+            e = c + R * np.array([math.cos(angle), math.sin(angle)])
+            ends = np.minimum(ends, _sum_sq((cols[0] - e[0], cols[1] - e[1])))
+        return np.where(theta <= a1, radial * radial, ends)
+    raise ValueError(f"unknown primitive {prim[0]!r}")
+
+
+def _coordinate_scale(primitives, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest coordinate magnitude among the points and the primitives."""
+    scale = float(max(np.abs(lo).max(), np.abs(hi).max()))
+    for prim in primitives:
+        if prim[0] == "segment":
+            scale = max(scale, *map(abs, prim[1]), *map(abs, prim[2]))
+        else:
+            scale = max(scale, max(map(abs, prim[1])) + abs(prim[2]))
+    return scale
+
+
+def _tiled_min(primitives, cols) -> np.ndarray | None:
+    """Minimum squared distance over the primitives, evaluated by tiles.
+
+    Points are sorted into square tiles of half-diagonal r.  A tile whose
+    centre lies at distance D_p from primitive p keeps p only when
+    D_p - r <= min_q D_q + r + slack: for a point x of the tile,
+    d(x, p) >= D_p - r and d(x, q) <= D_q + r, so a dropped primitive is
+    farther from every point of the tile than the nearest one, and
+    ``slack`` covers rounding.  Returns None for points that span no finite
+    box, which the caller evaluates without tiles.
+    """
+    n, m = len(cols), len(cols[0])
+    lo = np.array([c.min() for c in cols])
+    hi = np.array([c.max() for c in cols])
+    span = float((hi - lo).max())
+    if not (math.isfinite(span) and span > 0.0):
+        return None
+    ext = np.maximum(hi - lo, span / 64.0)
+    side = (float(np.prod(ext)) * _TILE_POINTS / m) ** (1.0 / n)
+    shape = np.maximum(np.ceil(ext / side).astype(np.intp), 1)
+    tile = np.zeros(m, dtype=np.intp)
+    for c, lo_i, k in zip(cols, lo, shape):
+        tile = tile * k + np.minimum(((c - lo_i) / side).astype(np.intp), k - 1)
+    order = np.argsort(tile, kind="stable")
+    tile = tile[order]
+    cols = [c[order] for c in cols]
+    starts = np.flatnonzero(np.r_[True, tile[1:] != tile[:-1]])
+    counts = np.diff(np.r_[starts, m])
+    centres = [lo_i + (i + 0.5) * side
+               for lo_i, i in zip(lo, np.unravel_index(tile[starts], shape))]
+    D = np.sqrt([_squared_distance(prim, centres) for prim in primitives])
+    r = 0.5 * side * math.sqrt(n)
+    slack = _CULL_SLACK * _coordinate_scale(primitives, lo, hi)
+    keeps = D - r <= D.min(axis=0) + r + slack
+    best = np.full(m, np.inf)
+    for prim, keep in zip(primitives, keeps):
+        if keep.all():
+            np.minimum(best, _squared_distance(prim, cols), out=best)
+        elif keep.any():
+            # the points of the kept tiles: concatenated runs [start, start + count)
+            c = counts[keep]
+            ends = np.cumsum(c)
+            idx = np.arange(ends[-1]) + np.repeat(starts[keep] - (ends - c), c)
+            sq = _squared_distance(prim, [col[idx] for col in cols])
+            best[idx] = np.minimum(best[idx], sq)
+    out = np.empty_like(best)
+    out[order] = best
+    return out
 
 
 def boundary_distance(primitives, pts) -> np.ndarray:
-    """Min distance from points to a list of boundary primitives."""
+    """Exact distance from points to the nearest of the boundary primitives.
+
+    pts is one point, shape (n,), which gives a float, or points along the
+    last axis of an array.  Squared distances are reduced by a running
+    minimum and the square root is taken once; as sqrt is monotone and
+    correctly rounded, this equals the minimum of the per-primitive
+    distances bit for bit.  Large point sets skip, tile by tile, the
+    primitives that cannot be nearest (see ``_tiled_min``), which leaves
+    the result unchanged.
+    """
     pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    best = np.full(pts.shape[:-1], np.inf)
-    for prim in primitives:
-        if prim[0] == "segment":
-            d = _dist_segment(pts, prim[1], prim[2])
-        elif prim[0] == "arc":
-            d = _dist_arc(pts, prim[1], prim[2], prim[3], prim[4])
-        else:
-            raise ValueError(f"unknown primitive {prim[0]!r}")
-        best = np.minimum(best, d)
-    return float(best[0]) if single else best
+    flat = pts.reshape(-1, pts.shape[-1])
+    cols = [np.ascontiguousarray(flat[:, i]) for i in range(flat.shape[1])]
+    best = None
+    if len(flat) >= _CULL_MIN_POINTS and len(primitives) > 1:
+        best = _tiled_min(primitives, cols)
+    if best is None:
+        best = np.full(len(flat), np.inf)
+        for prim in primitives:
+            np.minimum(best, _squared_distance(prim, cols), out=best)
+    out = np.sqrt(best).reshape(pts.shape[:-1])
+    return float(out) if pts.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +219,10 @@ class Domain:
 
     descriptor holds the tagged construction parameters and is what gets
     serialized; callables are runtime companions rebuilt from it.
+    ``inside`` and ``distance_fn`` take points along the last axis of an
+    array; rasterize calls ``distance_fn`` only at points inside the domain.
+    Without a ``distance_fn``, a domain with boundary primitives measures
+    the distance to them with ``boundary_distance``.
     """
 
     dimension: int
@@ -731,9 +840,8 @@ class GridDomain:
         ]
 
     def centers(self) -> np.ndarray:
-        axes = self.center_axes()
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        return np.stack(np.meshgrid(*self.center_axes(), indexing="ij", copy=False),
+                        axis=-1)
 
     def to_csv(self) -> str:
         ndim = self.occupancy.ndim
@@ -769,14 +877,28 @@ def _cells_beyond(gd: GridDomain, axis: int, cut: float) -> np.ndarray:
     return gd.occupancy & sel.reshape(shape)
 
 
+# rasterize refuses grids above this many cells (2^24 float64 cells hold
+# 128 MB per field, and the cell centres twice that in 2-D)
+_MAX_CELLS = 2**24
+
+
+def _cell_counts(sides, h: float) -> list[int]:
+    # clamping s / h keeps ceil finite; a clamped side alone exceeds the budget
+    return [max(1, math.ceil(min(s / h, 2.0 * _MAX_CELLS) - 1e-12)) for s in sides]
+
+
 def rasterize(dom: Domain, h: float) -> GridDomain:
     """Sample the domain on a uniform grid of spacing h.
 
     Cell (i_1, ..., i_N) is centered at origin + (i + 1/2) h.  Bounding-box
     sides that are not whole multiples of h are covered by ceil(side/h)
-    cells.  A warning is issued when the domain's thinnest feature falls
-    below 2h (such features cannot hold any cell center reliably).  Raises
-    ValueError for a non-finite or non-positive h, a domain with no exact
+    cells.  The inside predicate sees every cell centre; the distance oracle
+    ``dom.distance_fn`` sees only the centres inside the domain, as one
+    (M, N) array, and the distance field is 0 at the other cells.  A
+    warning is issued when the domain's thinnest feature falls below 2h
+    (such features cannot hold any cell center reliably).  Raises
+    ValueError for a non-finite or non-positive h, a grid of more than
+    ``_MAX_CELLS`` cells (before allocating it), a domain with no exact
     distance oracle, or a grid with no cell center inside the domain.
     """
     if not (math.isfinite(h) and h > 0):
@@ -784,9 +906,16 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
     if dom.distance_fn is None:
         raise ValueError("domain has no exact distance oracle: give it "
                          "distance_fn or boundary primitives")
-    notes = []
     sides = dom.bbox[:, 1] - dom.bbox[:, 0]
-    counts = [max(1, math.ceil(s / h - 1e-12)) for s in sides]
+    counts = _cell_counts(sides, h)
+    cells = math.prod(counts)
+    if cells > _MAX_CELLS:
+        k = math.floor(-math.log2(h))
+        while math.prod(_cell_counts(sides, 2.0**-k)) > _MAX_CELLS:
+            k -= 1
+        raise ValueError(f"h = {h:g} needs {cells} cells, above the budget of "
+                         f"{_MAX_CELLS}; the finest dyadic h that fits is 2^{-k}")
+    notes = []
     for s, n in zip(sides, counts):
         if abs(n * h - s) > 1e-12:
             notes.append(f"bbox side {s:g} covered by {n} cells of {h:g}")
@@ -799,14 +928,13 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
         notes.append(msg)
     origin = dom.bbox[:, 0].copy()
     axes = [origin[i] + (np.arange(counts[i]) + 0.5) * h for i in range(len(counts))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(grids, axis=-1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
     occ = np.asarray(dom.inside(pts), dtype=bool)
     if not occ.any():
         raise ValueError(f"no cell center of the grid with h = {h:g} lies "
                          "inside the domain")
-    dist_vals = np.asarray(dom.distance_fn(pts), dtype=float)
-    dist_field = np.where(occ, dist_vals, 0.0)
+    dist_field = np.zeros(occ.shape)
+    dist_field[occ] = dom.distance_fn(pts[occ])
     return GridDomain(
         domain=dom,
         h=float(h),

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from sobtrace import domains
 from sobtrace.domains import (
     PLAUSIBLY_SATISFIED,
     VIOLATED_SEQUENCE_FOUND,
@@ -182,6 +184,63 @@ def test_boundary_distance_primitives():
                         math.sqrt(2.0), rel_tol=1e-12)
 
 
+def _hypot_distance(prim, x: float, y: float) -> float:
+    """Plain-Python distance from (x, y) to one segment or arc primitive."""
+    if prim[0] == "segment":
+        (ax, ay), (bx, by) = prim[1], prim[2]
+        dx, dy = bx - ax, by - ay
+        L2 = dx * dx + dy * dy
+        t = 0.0 if L2 == 0 else min(1.0, max(0.0, ((x - ax) * dx + (y - ay) * dy) / L2))
+        return math.hypot(x - ax - t * dx, y - ay - t * dy)
+    _, (cx, cy), R, a0, a1 = prim
+    theta = a0 + (math.atan2(y - cy, x - cx) - a0) % (2.0 * math.pi)
+    if theta <= a1:
+        return abs(math.hypot(x - cx, y - cy) - R)
+    return min(math.hypot(x - cx - R * math.cos(a), y - cy - R * math.sin(a))
+               for a in (a0, a1))
+
+
+PRIMITIVE_TAGS = ("rooms_and_passages", "squares_stack", "crocodile", "skyscrapers")
+
+
+@pytest.mark.parametrize("tag", PRIMITIVE_TAGS + ("punctured_ball2",))
+def test_tiled_distance_is_the_exact_minimum(tag):
+    dom = gallery(tag)
+    prims = dom.boundary
+    rng = np.random.default_rng([7, len(prims)])
+    pts = rng.uniform(dom.bbox[:, 0], dom.bbox[:, 1], size=(60, 200, 2))
+    assert pts[..., 0].size >= domains._CULL_MIN_POINTS  # tiles are on
+    got = boundary_distance(prims, pts)
+    assert got.shape == (60, 200)
+    # one primitive at a time takes the untiled path
+    each = np.minimum.reduce([boundary_distance((p,), pts) for p in prims])
+    assert np.array_equal(got, each)
+    flat, dist = pts.reshape(-1, 2), got.ravel()
+    for i in rng.choice(len(flat), size=50, replace=False):
+        x, y = flat[i]
+        oracle = min(_hypot_distance(p, x, y) for p in prims)
+        assert abs(dist[i] - oracle) <= 1e-12
+        # one point gives a float, equal to its value in the batch
+        single = boundary_distance(prims, flat[i])
+        assert type(single) is float and single == dist[i]
+
+
+def test_tiles_skip_primitives_that_cannot_be_nearest(monkeypatch):
+    evaluated = []
+    kernel = domains._squared_distance
+
+    def counting(prim, cols):
+        evaluated.append(len(cols[0]))
+        return kernel(prim, cols)
+
+    monkeypatch.setattr(domains, "_squared_distance", counting)
+    gd = quiet_rasterize(gallery("squares_stack"), 2.0**-8)
+    occupied = int(gd.occupancy.sum())
+    # without tiles every occupied cell meets all 50 primitives
+    assert len(gd.domain.boundary) == 50
+    assert 0 < sum(evaluated) <= 12 * occupied
+
+
 # ---------------------------------------------------------------------------
 # rasterization
 
@@ -219,6 +278,42 @@ def test_rasterize_validation():
     # one cell centred at (2.5, 2.5), outside the unit square
     with pytest.raises(ValueError, match="no cell center"):
         rasterize(gallery("cube2"), 5.0)
+
+
+def test_rasterize_cell_budget_is_checked_before_allocating(monkeypatch):
+    dom = gallery("cube3")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1073741824 cells.*2\^-8"):
+            rasterize(dom, 2.0**-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="budget"):
+        rasterize(dom, 1e-300)
+    # a grid of exactly the budget is allowed
+    monkeypatch.setattr(domains, "_MAX_CELLS", 2**12)
+    assert rasterize(gallery("cube2"), 2.0**-6).occupancy.size == 2**12
+    with pytest.raises(ValueError, match=r"16384 cells.*2\^-6"):
+        rasterize(gallery("cube2"), 2.0**-7)
+
+
+def test_rasterize_measures_distance_at_inside_points_only():
+    seen = []
+    base = gallery("punctured_ball2")
+
+    def dist(pts):
+        seen.append(np.array(pts))
+        return base.distance_fn(pts)
+
+    dom = dataclasses.replace(base, distance_fn=dist)
+    gd = rasterize(dom, 2.0**-6)
+    (pts,) = seen
+    assert pts.shape == (int(gd.occupancy.sum()), 2)
+    assert np.all(base.inside(pts))
+    assert np.all(gd.distance_field[~gd.occupancy] == 0.0)
+    assert np.array_equal(gd.distance_field, rasterize(base, 2.0**-6).distance_field)
 
 
 def test_boundary_primitives_give_the_default_distance():
