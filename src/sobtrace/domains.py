@@ -171,15 +171,14 @@ def _tiled_min(primitives, cols) -> np.ndarray | None:
     keeps = D - r <= D.min(axis=0) + r + slack
     best = np.full(m, np.inf)
     for prim, keep in zip(primitives, keeps):
-        if keep.all():
-            np.minimum(best, _squared_distance(prim, cols), out=best)
-        elif keep.any():
-            # the points of the kept tiles: concatenated runs [start, start + count)
-            c = counts[keep]
-            ends = np.cumsum(c)
-            idx = np.arange(ends[-1]) + np.repeat(starts[keep] - (ends - c), c)
-            sq = _squared_distance(prim, [col[idx] for col in cols])
-            best[idx] = np.minimum(best[idx], sq)
+        if not keep.any():
+            continue
+        # the points of the kept tiles: concatenated runs [start, start + count)
+        c = counts[keep]
+        ends = np.cumsum(c)
+        idx = np.arange(ends[-1]) + np.repeat(starts[keep] - (ends - c), c)
+        sq = _squared_distance(prim, [col[idx] for col in cols])
+        best[idx] = np.minimum(best[idx], sq)
     out = np.empty_like(best)
     out[order] = best
     return out

@@ -200,10 +200,8 @@ def _hypot_distance(prim, x: float, y: float) -> float:
                for a in (a0, a1))
 
 
-PRIMITIVE_TAGS = ("rooms_and_passages", "squares_stack", "crocodile", "skyscrapers")
-
-
-@pytest.mark.parametrize("tag", PRIMITIVE_TAGS + ("punctured_ball2",))
+@pytest.mark.parametrize("tag", ["rooms_and_passages", "squares_stack", "crocodile",
+                                 "skyscrapers", "punctured_ball2"])
 def test_tiled_distance_is_the_exact_minimum(tag):
     dom = gallery(tag)
     prims = dom.boundary
@@ -313,7 +311,6 @@ def test_rasterize_measures_distance_at_inside_points_only():
     assert pts.shape == (int(gd.occupancy.sum()), 2)
     assert np.all(base.inside(pts))
     assert np.all(gd.distance_field[~gd.occupancy] == 0.0)
-    assert np.array_equal(gd.distance_field, rasterize(base, 2.0**-6).distance_field)
 
 
 def test_boundary_primitives_give_the_default_distance():
