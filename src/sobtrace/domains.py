@@ -933,7 +933,9 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
         raise ValueError(f"no cell center of the grid with h = {h:g} lies "
                          "inside the domain")
     dist_field = np.zeros(occ.shape)
-    dist_field[occ] = dom.distance_fn(pts[occ])
+    # np.compress on the flat rows gathers several times faster than pts[occ]
+    inside_pts = np.compress(occ.ravel(), pts.reshape(-1, len(counts)), axis=0)
+    dist_field[occ] = dom.distance_fn(inside_pts)
     return GridDomain(
         domain=dom,
         h=float(h),
