@@ -22,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .rearrangement import SampledFunction, StepRearrangement, rearrange
 
@@ -587,6 +584,8 @@ def sierpinski_model(p: float, total_measure: float = 1.0) -> DistributionModel:
             raise ValueError("xi must be nonnegative")
         if xi <= h_at_K:
             return K
+        from scipy.optimize import brentq
+
         w = math.log(xi)
 
         def g(y: float) -> float:
@@ -621,6 +620,8 @@ def sierpinski_partial_integrals(p: float, q: float, eps_list) -> list[float]:
     """
     if q == INF:
         raise ValueError("q must be finite")
+    from scipy.integrate import quad
+
     K = sierpinski_threshold(p)
     y_K = math.log(math.log(1.0 / K))
     out = []
@@ -653,7 +654,9 @@ def sierpinski_divergence_certificate(
         w = np.full(ys.shape, ys[1] - ys[0])
         w[0] *= 0.5
         w[-1] *= 0.5
-        log_increments.append(float(logsumexp(g + np.log(w))))
+        x = g + np.log(w)
+        top = x.max()
+        log_increments.append(float(top + np.log(np.sum(np.exp(x - top)))))
     diffs = np.diff(log_increments)
     return {
         "p": p,

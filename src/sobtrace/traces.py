@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .domains import GridDomain, face_pairs
 from .lorentz import ACReport, ac_diagnostic, weak_tail_extrapolate
@@ -368,6 +367,8 @@ def maximal_operator(u: GridFunction, R, radii: str = "all") -> GridFunction:
     maximal function of a constant equals that constant away from walls.
     radii = "dyadic" probes only radii h, 2h, 4h, ... (a lower estimate).
     """
+    from scipy.signal import fftconvolve
+
     gd = u.parent
     occ = gd.occupancy
     h = gd.h

@@ -6,6 +6,7 @@ punctured-ball tail, rectangle and tower isoperimetric profiles, the
 squares-stack portion violation, the rooms witness bound, Lorentz norm
 identities, the slowly-varying strictness example, the truncation scheme,
 one-dimensional endpoint classification, and the rearrangement invariants.
+The last test runs every row of the ``sobtrace verify`` check registry.
 """
 
 import math
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sobtrace.checks import CHECKS, row_ok
 from sobtrace.domains import (
     ball_portion_scan,
     gallery,
@@ -380,3 +382,16 @@ def test_rearrangement_property_battery():
         assert r(t) == min(feasible)
 
     assert time.monotonic() - t0 < 60.0
+
+
+# ---------------------------------------------------------------------------
+# 12. the `sobtrace verify` registry, every row at seed 0
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_verify_registry(name):
+    rows = CHECKS[name](0)
+    assert rows
+    for row in rows:
+        assert row_ok(row), row

@@ -2,10 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sobtrace.cli import _BATTERY_IDS, GALLERY_TAGS, main
+import sobtrace
+from sobtrace import checks
+from sobtrace.cli import GALLERY_TAGS, main
+
+SRC = str(Path(sobtrace.__file__).resolve().parents[1])
+
+
+def _run(*args):
+    """Run ``python -c`` or ``python -m`` in a fresh interpreter on this source tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
 
 
 def test_norm_from_csv(tmp_path, capsys):
@@ -96,7 +110,7 @@ def test_profile_rectangle_needs_a():
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     names = capsys.readouterr().out.split()
-    assert set(names) == set(_BATTERY_IDS)
+    assert names == list(checks.CHECKS)
     assert len(names) == 13
 
 
@@ -110,6 +124,53 @@ def test_verify_single_check(capsys):
 def test_verify_unknown_check():
     with pytest.raises(SystemExit):
         main(["verify", "--only", "nonexistent_check"])
+
+
+def test_verify_json_keys(capsys):
+    assert main(["verify", "--only", "punctured_ball_ratio", "--json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)
+    assert set(entry) == {"id", "ok", "detail", "rows"}
+    assert entry["id"] == "punctured_ball_ratio" and entry["ok"] is True
+    assert len(entry["rows"]) == 2
+    for row in entry["rows"]:
+        assert set(row) == {"quantity", "measured", "relation", "bound", "ok"}
+        assert row["ok"] is True
+
+
+def test_verify_reports_a_failing_row(monkeypatch, capsys):
+    monkeypatch.setitem(checks.CHECKS, "cube_weak_norm",
+                        lambda seed: [("relative error", 0.5, "<=", 0.02)])
+    assert main(["verify", "--only", "cube_weak_norm"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL cube_weak_norm" in out.splitlines()
+    assert "[not ok] relative error: 0.5 <= 0.02" in out
+    assert "0/1 checks passed" in out
+    assert main(["verify", "--only", "cube_weak_norm", "--json"]) == 1
+    [entry] = json.loads(capsys.readouterr().out)
+    assert entry["ok"] is False and entry["rows"][0]["ok"] is False
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["norm", "--gallery", "punctured_ball3"], "2^-7"),
+    (["norm", "--gallery", "cube2", "--h", "-1"], "h must be positive"),
+    (["norm", "--csv", "{short_csv}"], "line 3"),
+])
+def test_bad_input_is_one_line_and_status_2(tmp_path, argv, cause):
+    short_csv = tmp_path / "short.csv"
+    short_csv.write_text("value,measure\n3,0.2\n1\n")
+    argv = [a.format(short_csv=short_csv) for a in argv]
+    proc = _run("-m", "sobtrace.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("sobtrace: ") and cause in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = _run("-c", "import sys, sobtrace, sobtrace.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_gallery_tags_exposed():
