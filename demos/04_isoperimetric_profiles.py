@@ -7,7 +7,6 @@ quadratic bound that forces the profile to vanish superlinearly.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -31,9 +30,7 @@ def main() -> None:
         print(f"{s:8.4f} {prof.lower_bound:9.5f} {prof.witness_perimeter:9.5f}"
               f" {point.witness_perimeter:9.5f}  {prof.witness['kind']}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sky = rasterize(gallery("skyscrapers", kmax=3), 2.0**-6)
+    sky = rasterize(gallery("skyscrapers", kmax=3), 2.0**-6)
     print("\ntower domain: grid witnesses stay above the s/sqrt(2) floor")
     for s in (0.25, 0.5, 1.0):
         point = profile_search(sky, s)

@@ -7,11 +7,11 @@ import argparse
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
 from . import checks, domains, isoperimetry, lorentz, rearrangement, traces
+from .report import csv_text
 
 GALLERY_TAGS = sorted(domains._GALLERY) + ["rectangle"]
 FIELDS = ("inv_d", "hardy_ratio")
@@ -20,7 +20,7 @@ FIELDS = ("inv_d", "hardy_ratio")
 def _build_domain(args) -> domains.Domain:
     if args.gallery == "rectangle":
         if getattr(args, "a", None) is None:
-            raise SystemExit("the rectangle needs --a in (0, 1)")
+            raise ValueError("the rectangle needs --a in (0, 1)")
         return domains.rectangle(args.a)
     return domains.gallery(args.gallery, kmax=args.kmax)
 
@@ -30,12 +30,12 @@ def _field_sample(dom: domains.Domain, gd: domains.GridDomain, field: str):
         u = traces.constant_function(gd, 1.0)
     elif field == "hardy_ratio":
         if dom.descriptor.get("tag") != "punctured_ball":
-            raise SystemExit("--field hardy_ratio is defined on the punctured ball")
+            raise ValueError("--field hardy_ratio is defined on the punctured ball")
         u = traces.sample_function(
             gd, lambda x: 1.0 - np.linalg.norm(x, axis=-1), "1-|x|"
         )
     else:
-        raise SystemExit(f"unknown field {field!r}; known: {FIELDS}")
+        raise ValueError(f"unknown field {field!r}; known: {FIELDS}")
     return traces.ratio_field(u)
 
 
@@ -43,18 +43,23 @@ def _field_sample(dom: domains.Domain, gd: domains.GridDomain, field: str):
 # subcommands
 
 
+def _print_notes(notes) -> None:
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
+
+
 def cmd_norm(args) -> int:
     p = args.p
     q = math.inf if args.q in ("inf", "INF") else float(args.q)
+    notes = ()
     if args.csv:
         with open(args.csv) as fh:
             f = rearrangement.SampledFunction.from_csv(fh.read())
         source = args.csv
     else:
         dom = _build_domain(args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            gd = domains.rasterize(dom, args.h)
+        gd = domains.rasterize(dom, args.h)
+        notes = gd.notes
         f = _field_sample(dom, gd, args.field)
         source = f"{args.gallery}:{args.field} at h={args.h:g}"
     rearranged = lorentz.lorentz_quasinorm(f, (p, q))
@@ -66,12 +71,14 @@ def cmd_norm(args) -> int:
         "quasinorm_rearranged": rearranged,
         "quasinorm_distribution": dist_form,
         "total_measure": f.total_measure,
+        "notes": list(notes),
     }
     if math.isinf(q) and f.value_cap is not None:
         payload["value_cap"] = f.value_cap
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
+        _print_notes(notes)
         qs = "inf" if math.isinf(q) else f"{q:g}"
         print(f"L^({p:g},{qs}) quasinorm of {source}")
         print(f"  rearranged form:   {rearranged:.12g}")
@@ -113,28 +120,19 @@ def cmd_scan(args) -> int:
 
 def cmd_profile(args) -> int:
     dom = _build_domain(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        gd = domains.rasterize(dom, args.h)
+    gd = domains.rasterize(dom, args.h)
     point = isoperimetry.profile_search(gd, args.s, budget=args.budget,
                                         seed=args.seed)
     bound = point.analytic_lower_bound
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("s,witness_perimeter,analytic_bound\n")
-            fh.write(f"{point.s:.17g},{point.witness_perimeter:.17g},"
-                     f"{'' if bound is None else format(bound, '.17g')}\n")
+            fh.write(csv_text("s,witness_perimeter,analytic_bound",
+                              [(point.s, point.witness_perimeter, bound)]))
         print(f"wrote {args.out}")
     if args.json:
-        payload = {
-            "s": point.s,
-            "witness_perimeter": point.witness_perimeter,
-            "analytic_lower_bound": bound,
-            "witness": {k: v for k, v in point.witness.items()},
-            "notes": list(point.notes),
-        }
-        print(json.dumps(payload, sort_keys=True, default=float))
+        print(point.to_json())
     else:
+        _print_notes(gd.notes)
         print(f"{args.gallery}: profile at s = {args.s:g}")
         print(f"  witness perimeter: {point.witness_perimeter:.12g}")
         if bound is not None:
@@ -148,16 +146,14 @@ def cmd_verify(args) -> int:
         print("\n".join(checks.CHECKS))
         return 0
     if args.only and args.only not in checks.CHECKS:
-        raise SystemExit(f"unknown check {args.only!r}; see `sobtrace verify --list`")
+        raise ValueError(f"unknown check {args.only!r}; see `sobtrace verify --list`")
     results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in [args.only] if args.only else checks.CHECKS:
-            rows = [dict(zip(("quantity", "measured", "relation", "bound"), row),
-                         ok=checks.row_ok(row))
-                    for row in checks.CHECKS[name](args.seed)]
-            results.append({"id": name, "ok": all(row["ok"] for row in rows),
-                            "detail": "; ".join(map(_row_text, rows)), "rows": rows})
+    for name in [args.only] if args.only else checks.CHECKS:
+        rows = [dict(zip(("quantity", "measured", "relation", "bound"), row),
+                     ok=checks.row_ok(row))
+                for row in checks.CHECKS[name](args.seed)]
+        results.append({"id": name, "ok": all(row["ok"] for row in rows),
+                        "detail": "; ".join(map(_row_text, rows)), "rows": rows})
     if args.json:
         print(json.dumps(results, sort_keys=True))
     else:
@@ -243,9 +239,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "gallery", None) is None and args.command in ("render", "scan",
                                                                    "profile"):
-        raise SystemExit(f"`sobtrace {args.command}` needs --gallery")
+        parser.error(f"`sobtrace {args.command}` needs --gallery")
     if args.command == "norm" and not args.csv and args.gallery is None:
-        raise SystemExit("`sobtrace norm` needs --csv or --gallery")
+        parser.error("`sobtrace norm` needs --csv or --gallery")
     try:
         return args.fn(args)
     except ValueError as exc:

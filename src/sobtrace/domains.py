@@ -8,22 +8,22 @@ Monte Carlo ball-portion probes use the exact predicate, never the grid.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lorentz import DistributionModel
+from .report import Report, csv_text
 
 __all__ = [
     "Domain",
     "GridDomain",
     "face_pairs",
     "RatioEstimate",
+    "ProbeRow",
     "BallPortionReport",
     "ball_volume",
     "unit_cube",
@@ -843,15 +843,9 @@ class GridDomain:
                         axis=-1)
 
     def to_csv(self) -> str:
-        ndim = self.occupancy.ndim
-        labels = ["i", "j", "k"][:ndim]
-        buf = io.StringIO()
-        buf.write(",".join(labels) + ",inside,distance\n")
-        for idx in np.ndindex(self.occupancy.shape):
-            ins = int(self.occupancy[idx])
-            d = self.distance_field[idx]
-            buf.write(",".join(str(i) for i in idx) + f",{ins},{d:.17g}\n")
-        return buf.getvalue()
+        return csv_text(",".join("ijk"[:self.occupancy.ndim]) + ",inside,distance",
+                        ((*idx, self.occupancy[idx], self.distance_field[idx])
+                         for idx in np.ndindex(self.occupancy.shape)))
 
 
 def face_pairs(ndim: int):
@@ -893,8 +887,8 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
     sides that are not whole multiples of h are covered by ceil(side/h)
     cells.  The inside predicate sees every cell centre; the distance oracle
     ``dom.distance_fn`` sees only the centres inside the domain, as one
-    (M, N) array, and the distance field is 0 at the other cells.  A
-    warning is issued when the domain's thinnest feature falls below 2h
+    (M, N) array, and the distance field is 0 at the other cells.  The
+    grid's notes say when the domain's thinnest feature falls below 2h
     (such features cannot hold any cell center reliably).  Raises
     ValueError for a non-finite or non-positive h, a grid of more than
     ``_MAX_CELLS`` cells (before allocating it), a domain with no exact
@@ -919,12 +913,10 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
         if abs(n * h - s) > 1e-12:
             notes.append(f"bbox side {s:g} covered by {n} cells of {h:g}")
     if dom.thinnest_feature is not None and dom.thinnest_feature < 2.0 * h:
-        msg = (
+        notes.append(
             f"thinnest feature {dom.thinnest_feature:g} is below 2h = {2*h:g}; "
             "sub-resolution parts of the domain drop out of the grid"
         )
-        warnings.warn(msg)
-        notes.append(msg)
     origin = dom.bbox[:, 0].copy()
     axes = [origin[i] + (np.arange(counts[i]) + 0.5) * h for i in range(len(counts))]
     pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
@@ -1013,34 +1005,25 @@ def ball_portion_ratio(
     return RatioEstimate(ratio, stderr, n, x, r)
 
 
+class ProbeRow(NamedTuple):
+    """One ball-portion probe of a scan."""
+
+    point: tuple
+    radius: float
+    ratio: float
+    stderr: float
+    n: int
+
+
 @dataclass(frozen=True)
-class BallPortionReport:
-    """Scan outcome: probe rows are (point, radius, ratio, stderr, n)."""
+class BallPortionReport(Report):
+    """Scan outcome: ProbeRow rows, each (point, radius, ratio, stderr, n)."""
 
     probes: tuple
     infimum_estimate: float
     verdict: str
     violating_sequence: tuple = ()
     b_threshold: float = 0.01
-
-    def to_json(self) -> str:
-        def row(p):
-            return {
-                "point": list(p[0]),
-                "radius": p[1],
-                "ratio": p[2],
-                "stderr": p[3],
-                "n": p[4],
-            }
-
-        payload = {
-            "probes": [row(p) for p in self.probes],
-            "infimum_estimate": self.infimum_estimate,
-            "verdict": self.verdict,
-            "violating_sequence": [row(p) for p in self.violating_sequence],
-            "b_threshold": self.b_threshold,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _is_violating(rows, b_threshold: float) -> bool:
@@ -1091,7 +1074,7 @@ def ball_portion_scan(
         rows = []
         for p, r in sorted(group, key=lambda pr: -pr[1]):
             est = ball_portion_ratio(dom, p, r, mc_samples=mc_samples, seed=seed)
-            rows.append((est.point, est.radius, float(est), est.stderr, est.n))
+            rows.append(ProbeRow(est.point, est.radius, float(est), est.stderr, est.n))
         all_rows.extend(rows)
         if not violating and _is_violating(rows, b_threshold):
             violating = tuple(rows)

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import Domain, GridDomain, face_pairs, rooms_geometry, rooms_tail_cut
+from .report import Report
 
 __all__ = [
     "GridSet",
@@ -171,7 +172,7 @@ def rooms_passages_witness(s: float, kmax: int = 16) -> dict:
 
 
 @dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(Report):
     """One point of an isoperimetric profile estimate."""
 
     s: float
@@ -181,10 +182,23 @@ class ProfilePoint:
     notes: tuple[str, ...] = ()
 
 
+def _cells_needed(gd: GridDomain, s: float) -> int:
+    """The fewest grid cells whose measure reaches s."""
+    return int(math.ceil(s / gd.cell_measure - 1e-12))
+
+
+def _nearest_cells(gd: GridDomain, d2: np.ndarray, need: int) -> np.ndarray | None:
+    """The need occupied cells of smallest d2, or None if fewer are occupied."""
+    flat = np.argsort(np.where(gd.occupancy, d2, np.inf), axis=None)[:need]
+    mask = np.zeros(gd.occupancy.size, dtype=bool)
+    mask[flat] = True
+    mask = mask.reshape(gd.occupancy.shape) & gd.occupancy
+    return mask if mask.sum() >= need else None
+
+
 def _strip_candidates(gd: GridDomain, s: float):
     occ = gd.occupancy
-    cm = gd.cell_measure
-    need = int(math.ceil(s / cm - 1e-12))
+    need = _cells_needed(gd, s)
     for axis in range(occ.ndim):
         counts = occ.sum(axis=tuple(i for i in range(occ.ndim) if i != axis))
         for direction in (+1, -1):
@@ -210,17 +224,14 @@ def _corner_candidates(gd: GridDomain, s: float):
     if rho > sides.min():
         return
     centers = gd.centers()
-    need = int(math.ceil(s / gd.cell_measure - 1e-12))
+    need = _cells_needed(gd, s)
     for corner in corners:
         d2 = np.sum((centers - np.asarray(corner, dtype=float)) ** 2, axis=-1)
         order_ok = gd.occupancy & (d2 <= (rho + gd.h) ** 2)
         if order_ok.sum() < need:
             continue
-        flat = np.argsort(np.where(gd.occupancy, d2, np.inf), axis=None)[:need]
-        mask = np.zeros(gd.occupancy.size, dtype=bool)
-        mask[flat] = True
-        mask = mask.reshape(gd.occupancy.shape) & gd.occupancy
-        if mask.sum() < need:
+        mask = _nearest_cells(gd, d2, need)
+        if mask is None:
             continue
         yield mask, math.sqrt(math.pi * s), {
             "kind": "corner_quarter_disc",
@@ -239,12 +250,8 @@ def _disc_candidate(gd: GridDomain, s: float):
     centers = gd.centers()
     c = centers[center_idx]
     d2 = np.sum((centers - c) ** 2, axis=-1)
-    need = int(math.ceil(s / gd.cell_measure - 1e-12))
-    flat = np.argsort(np.where(gd.occupancy, d2, np.inf), axis=None)[:need]
-    mask = np.zeros(gd.occupancy.size, dtype=bool)
-    mask[flat] = True
-    mask = mask.reshape(gd.occupancy.shape) & gd.occupancy
-    if mask.sum() < need:
+    mask = _nearest_cells(gd, d2, _cells_needed(gd, s))
+    if mask is None:
         return None
     return mask, None, {"kind": "interior_ball", "center": c.tolist(), "radius": rho}
 
@@ -253,7 +260,7 @@ def _local_search(gd: GridDomain, mask: np.ndarray, s: float, budget: int,
                   seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1505]))
     occ = gd.occupancy
-    need = int(math.ceil(s / gd.cell_measure - 1e-12))
+    need = _cells_needed(gd, s)
     best = mask.copy()
     best_faces = _face_count(best, occ)
     cur = best.copy()

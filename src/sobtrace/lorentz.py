@@ -16,7 +16,6 @@ ranges; that is how the slowly-varying counterexample below is probed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -24,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .rearrangement import SampledFunction, StepRearrangement, rearrange
+from .report import Report
 
 __all__ = [
     "INF",
@@ -38,7 +38,6 @@ __all__ = [
     "holder_check",
     "DistributionModel",
     "model_weak_norm",
-    "ProbeSpec",
     "ACReport",
     "ac_diagnostic",
     "AC_CONSISTENT",
@@ -256,19 +255,18 @@ def model_weak_norm(
     model: DistributionModel,
     p: float = 1.0,
     xi_lo: float | None = None,
-    xi_hi: float | None = None,
 ) -> float:
     """sup_{xi} xi * mu(xi)^{1/p} over a dyadic ladder with local refinement.
 
-    The ladder spans xi_anchor * 2^{-60..60} clipped to [xi_lo, xi_hi]; a
+    The ladder spans xi_anchor * 2^{-60..60} clipped below at xi_lo; a
     log-space ternary refinement around the ladder argmax tightens interior
     maxima.  Suprema attained in the limit xi -> inf are reproduced to
     ~1e-17 relative by the ladder top.
     """
     lo = xi_lo if xi_lo is not None else model.xi_anchor * 2.0**-60
-    hi = xi_hi if xi_hi is not None else model.xi_anchor * 2.0**60
+    hi = model.xi_anchor * 2.0**60
     if not (0 < lo < hi):
-        raise ValueError("need 0 < xi_lo < xi_hi")
+        raise ValueError("need 0 < xi_lo < xi_anchor * 2^60")
     ks = np.arange(math.floor(math.log2(lo / model.xi_anchor)),
                    math.ceil(math.log2(hi / model.xi_anchor)) + 1)
     grid = np.clip(model.xi_anchor * 2.0**ks, lo, hi)
@@ -306,23 +304,14 @@ def model_weak_norm(
 # absolute continuity diagnostics
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Dyadic probe plan: roughly `decades` orders of magnitude per end."""
-
-    decades: int = 12
-
-    def __post_init__(self) -> None:
-        if self.decades <= 0:
-            raise ValueError("empty probe range: decades must be positive")
-
-    @property
-    def n_probes(self) -> int:
-        return max(8, math.ceil(self.decades * math.log2(10.0)))
+# probes per ladder end: dyadic steps covering twelve decades
+_N_PROBES = 40
+# an end's limit reads as zero below this fraction of the q = inf quasinorm
+_THRESHOLD_REL = 1e-3
 
 
 @dataclass(frozen=True)
-class ACReport:
+class ACReport(Report):
     """Outcome of the vanishing-tail diagnostic for L^{p,inf} membership.
 
     trend_samples rows are (kind, coordinate, value) with kind one of
@@ -338,18 +327,6 @@ class ACReport:
     threshold: float
     trend_samples: tuple
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> str:
-        payload = {
-            "p": self.p,
-            "verdict": self.verdict,
-            "limit_at_zero_estimate": self.limit_at_zero_estimate,
-            "limit_at_infinity_estimate": self.limit_at_infinity_estimate,
-            "threshold": self.threshold,
-            "trend_samples": [list(row) for row in self.trend_samples],
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _classify_end(values, threshold: float) -> str:
@@ -380,8 +357,7 @@ def _extend_until_below(xi0: float, value_at, threshold: float, limit: int = 200
     return xs, vs
 
 
-def ac_diagnostic(f, p: float, probes: ProbeSpec | None = None,
-                  threshold_rel: float = 1e-3) -> ACReport:
+def ac_diagnostic(f, p: float) -> ACReport:
     """Vanishing-tail test for membership in the closure of truncations.
 
     Probes xi mu(xi)^{1/p} along dyadic xi ladders toward 0 and infinity
@@ -392,12 +368,12 @@ def ac_diagnostic(f, p: float, probes: ProbeSpec | None = None,
     value_cap cannot certify a zero limit at the capped end, but a stable
     violation inside the resolved range stands.
 
-    threshold = threshold_rel * (q = inf quasinorm scale).
+    threshold = 1e-3 * (q = inf quasinorm scale); each ladder end has 40
+    probes.
     """
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
-    probe_spec = probes if probes is not None else ProbeSpec()
-    n = probe_spec.n_probes
+    n = _N_PROBES
     notes: list[str] = []
     trend: list[tuple[str, float, float]] = []
 
@@ -419,7 +395,7 @@ def ac_diagnostic(f, p: float, probes: ProbeSpec | None = None,
             zero_pts = [(x, g(x)) for x in xs]
         if scale is None:
             scale = max([v for _, v in inf_pts] + [v for _, v in zero_pts])
-        threshold = threshold_rel * scale
+        threshold = _THRESHOLD_REL * scale
         # adaptive extension so a genuinely vanishing zero end can certify
         zvals = [v for _, v in zero_pts]
         if zvals[-1] > threshold and zvals[-1] < zvals[0]:
@@ -446,7 +422,7 @@ def ac_diagnostic(f, p: float, probes: ProbeSpec | None = None,
                 limit_at_infinity_estimate=0.0, threshold=0.0,
                 trend_samples=(), notes=("identically zero",),
             )
-        threshold = threshold_rel * scale
+        threshold = _THRESHOLD_REL * scale
         vmax = float(r.levels[0])
         total = r.total_measure
 

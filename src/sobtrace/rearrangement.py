@@ -8,10 +8,11 @@ cumulative sums), which is what the quasinorm layer relies on.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .report import csv_columns, csv_text
 
 __all__ = [
     "SampledFunction",
@@ -21,23 +22,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
-
-
-def _csv_columns(text: str, header: str) -> tuple[list[float], list[float]]:
-    """The two float columns of CSV text whose first non-blank line is header."""
-    rows = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip()]
-    if not rows or rows[0][1] != header:
-        raise ValueError(f"expected header {header!r}")
-    first, second = [], []
-    for n, ln in rows[1:]:
-        try:
-            a, b = (float(x) for x in ln.split(","))
-        except ValueError:
-            raise ValueError(f"line {n}: expected {header!r}, got {ln!r}") from None
-        first.append(a)
-        second.append(b)
-    return first, second
 
 
 @dataclass(frozen=True)
@@ -100,15 +84,11 @@ class SampledFunction:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("value,measure\n")
-        for v, m in zip(self.values, self.measures):
-            buf.write(f"{v:.17g},{m:.17g}\n")
-        return buf.getvalue()
+        return csv_text("value,measure", zip(self.values, self.measures))
 
     @classmethod
     def from_csv(cls, text: str, label: str = "") -> "SampledFunction":
-        values, measures = _csv_columns(text, "value,measure")
+        values, measures = csv_columns(text, "value,measure")
         return cls(values=np.array(values), measures=np.array(measures), label=label)
 
 
@@ -161,15 +141,11 @@ class StepRearrangement:
         return float(self.breakpoints[n])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_break,level\n")
-        for i, lv in enumerate(self.levels):
-            buf.write(f"{self.breakpoints[i + 1]:.17g},{lv:.17g}\n")
-        return buf.getvalue()
+        return csv_text("t_break,level", zip(self.breakpoints[1:], self.levels))
 
     @classmethod
     def from_csv(cls, text: str) -> "StepRearrangement":
-        breaks, levels = _csv_columns(text, "t_break,level")
+        breaks, levels = csv_columns(text, "t_break,level")
         return cls(breakpoints=np.array([0.0] + breaks), levels=np.array(levels))
 
 

@@ -8,8 +8,6 @@ k |{u > k d}|^{1/p} column is the signature of the obstruction.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -19,6 +17,7 @@ import numpy as np
 from .domains import GridDomain, face_pairs
 from .lorentz import ACReport, ac_diagnostic, weak_tail_extrapolate
 from .rearrangement import SampledFunction, distribution, rearrange
+from .report import Report, csv_text
 
 __all__ = [
     "GridFunction",
@@ -240,8 +239,13 @@ def distance_truncation(u: GridFunction, eta: float) -> tuple[GridFunction, dict
     return GridFunction(gd, vals, label), report
 
 
+# the scheme reads CONSISTENT once the last resolvable residual falls below
+# this fraction of the first
+_SCHEME_THRESHOLD_RATIO = 1e-2
+
+
 @dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(Report):
     """Outcome of the truncation scheme u -> min(u, k d).
 
     Rows hold (k, res_w1p, measure_Ek, k_mu_pow, resolution_limited) where
@@ -260,38 +264,20 @@ class DiagnosticReport:
     notes: tuple = ()
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("k,res_w1p,measure_Ek,k_mu_pow,resolution_limited\n")
-        for k, res, mek, kmu, limited in self.rows:
-            buf.write(f"{k:.17g},{res:.17g},{mek:.17g},{kmu:.17g},{int(limited)}\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "p": self.p,
-            "verdict": self.verdict,
-            "rows": [list(r) for r in self.rows],
-            "weak_norm": self.weak_norm,
-            "ac_verdict": self.ac.verdict,
-            "sobolev": list(self.sobolev),
-            "threshold_ratio": self.threshold_ratio,
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return csv_text("k,res_w1p,measure_Ek,k_mu_pow,resolution_limited", self.rows)
 
 
 def approximation_scheme(
     u: GridFunction,
     p: float,
     k_list=None,
-    threshold_ratio: float = 1e-2,
 ) -> DiagnosticReport:
     """Run the truncation scheme and classify the trace behavior.
 
     Verdict: CONSISTENT if the final resolvable residual has dropped below
-    threshold_ratio times the initial one (an all-zero residual column
-    passes); INCONSISTENT if residuals grow or stall at the same scale;
-    INCONCLUSIVE otherwise.
+    1e-2 times the initial one (an all-zero residual column passes);
+    INCONSISTENT if residuals grow or stall at the same scale; INCONCLUSIVE
+    otherwise.
     """
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
@@ -323,7 +309,7 @@ def approximation_scheme(
         w_init = valid[0][1]
         w_fin = valid[-1][1]
         w_max = max(r[1] for r in valid)
-        if w_fin <= threshold_ratio * w_init:
+        if w_fin <= _SCHEME_THRESHOLD_RATIO * w_init:
             verdict = CONSISTENT_WITH_ZERO_TRACE
         elif w_fin >= 0.5 * w_max or w_fin > w_init:
             verdict = INCONSISTENT_WITH_ZERO_TRACE
@@ -342,7 +328,7 @@ def approximation_scheme(
         weak_norm=float(wne.estimate),
         ac=ac,
         sobolev=sob,
-        threshold_ratio=float(threshold_ratio),
+        threshold_ratio=_SCHEME_THRESHOLD_RATIO,
         notes=tuple(notes),
     )
 
@@ -430,7 +416,7 @@ def hardy_pointwise_check(u: GridFunction, factor: float = 2.0,
 
 
 @dataclass(frozen=True)
-class OneDTraceReport:
+class OneDTraceReport(Report):
     """Endpoint limits and uniform bounds for u on an interval (a, b)."""
 
     a: float
@@ -447,21 +433,6 @@ class OneDTraceReport:
     power_sum_bound: float
     power_sum_holds: bool
     threshold: float
-
-    def to_json(self) -> str:
-        payload = {
-            "a": self.a, "b": self.b, "p": self.p, "sup": self.sup,
-            "lp_norm": self.lp_norm, "dlp_norm": self.dlp_norm,
-            "endpoint_estimates": list(self.endpoint_estimates),
-            "endpoints_zero": list(self.endpoints_zero),
-            "member": self.member,
-            "two_term_bound": self.two_term_bound,
-            "collapsed_bound": self.collapsed_bound,
-            "power_sum_bound": self.power_sum_bound,
-            "power_sum_holds": self.power_sum_holds,
-            "threshold": self.threshold,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _endpoint_estimate(u: Callable, end: float, toward: float, L: float) -> float:
@@ -481,12 +452,12 @@ def oned_zero_trace(
     p: float,
     du: Callable | None = None,
     samples: int = 8192,
-    threshold_rel: float = 1e-3,
 ) -> OneDTraceReport:
     """Classify endpoint behavior of u on (a, b) and evaluate sup bounds.
 
     Membership in the zero-endpoint class is decided by extrapolating u
-    along dyadic offsets at each end.  The two-term bound
+    along dyadic offsets at each end; an end reads zero when its estimate
+    is within 1e-3 sup |u|.  The two-term bound
     L^{-1/p} ||u||_p + L^{1-1/p} ||u'||_p and its collapsed one-constant
     form with the norm sum hold for every first-order function; the
     power-sum form (with an l^p sum of the norms in place of the plain
@@ -510,7 +481,7 @@ def oned_zero_trace(
     dlp = float(_trapz(np.abs(dvals) ** p, xs) ** (1.0 / p))
     est_a = _endpoint_estimate(u, a, b, L)
     est_b = _endpoint_estimate(u, b, a, L)
-    threshold = max(threshold_rel * sup, 1e-12)
+    threshold = max(1e-3 * sup, 1e-12)
     zero_a = abs(est_a) <= threshold
     zero_b = abs(est_b) <= threshold
     two_term = L ** (-1.0 / p) * lp + L ** (1.0 - 1.0 / p) * dlp

@@ -5,17 +5,9 @@ same cube and punctured-ball grids, and rebuilding them per test would
 dominate the suite's runtime.
 """
 
-import warnings
-
 import pytest
 
 from sobtrace.domains import gallery, rasterize
-
-
-def quiet_rasterize(dom, h):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return rasterize(dom, h)
 
 
 @pytest.fixture(scope="session")
@@ -45,4 +37,4 @@ def pball2_g9():
 
 @pytest.fixture(scope="session")
 def sky3_g6():
-    return quiet_rasterize(gallery("skyscrapers", kmax=3), 2.0**-6)
+    return rasterize(gallery("skyscrapers", kmax=3), 2.0**-6)

@@ -11,7 +11,6 @@ The last test runs every row of the ``sobtrace verify`` check registry.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -388,7 +387,6 @@ def test_rearrangement_property_battery():
 # 12. the `sobtrace verify` registry, every row at seed 0
 
 
-@pytest.mark.filterwarnings("ignore")
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_verify_registry(name):
     rows = CHECKS[name](0)

@@ -44,8 +44,25 @@ def test_norm_gallery_json(capsys):
 
 
 def test_norm_requires_source():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["norm"])
+    assert exc.value.code == 2
+
+
+def test_norm_hardy_ratio_needs_the_punctured_ball(capsys):
+    assert main(["norm", "--gallery", "cube2", "--field", "hardy_ratio"]) == 2
+    assert "punctured ball" in capsys.readouterr().err
+
+
+def test_notes_reach_stderr(capsys):
+    argv = ["norm", "--gallery", "skyscrapers", "--kmax", "3", "--h", str(2.0**-6)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("note: thinnest feature")
+    assert main(argv + ["--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert any("thinnest feature" in note for note in json.loads(out)["notes"])
 
 
 def test_norm_rejects_unknown_gallery():
@@ -63,8 +80,9 @@ def test_render_writes_svg(tmp_path, capsys):
 
 
 def test_render_needs_gallery():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["render"])
+    assert exc.value.code == 2
 
 
 def test_scan_finds_squares_sequence(capsys):
@@ -102,9 +120,9 @@ def test_profile_rectangle(tmp_path, capsys):
     assert len(lines) == 2
 
 
-def test_profile_rectangle_needs_a():
-    with pytest.raises(SystemExit, match="--a"):
-        main(["profile", "--gallery", "rectangle", "--s", "0.05"])
+def test_profile_rectangle_needs_a(capsys):
+    assert main(["profile", "--gallery", "rectangle", "--s", "0.05"]) == 2
+    assert "--a" in capsys.readouterr().err
 
 
 def test_verify_list(capsys):
@@ -121,9 +139,9 @@ def test_verify_single_check(capsys):
     assert "1/1 checks passed" in out
 
 
-def test_verify_unknown_check():
-    with pytest.raises(SystemExit):
-        main(["verify", "--only", "nonexistent_check"])
+def test_verify_unknown_check(capsys):
+    assert main(["verify", "--only", "nonexistent_check"]) == 2
+    assert "unknown check 'nonexistent_check'" in capsys.readouterr().err
 
 
 def test_verify_json_keys(capsys):

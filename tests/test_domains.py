@@ -26,8 +26,6 @@ from sobtrace.domains import (
     unit_cube,
 )
 
-from conftest import quiet_rasterize
-
 
 # ---------------------------------------------------------------------------
 # geometry oracles
@@ -232,7 +230,7 @@ def test_tiles_skip_primitives_that_cannot_be_nearest(monkeypatch):
         return kernel(prim, cols)
 
     monkeypatch.setattr(domains, "_squared_distance", counting)
-    gd = quiet_rasterize(gallery("squares_stack"), 2.0**-8)
+    gd = rasterize(gallery("squares_stack"), 2.0**-8)
     occupied = int(gd.occupancy.sum())
     # without tiles every occupied cell meets all 50 primitives
     assert len(gd.domain.boundary) == 50
@@ -260,10 +258,12 @@ def test_rasterize_snaps_bbox_up():
     assert any("covered by" in note for note in gd.notes)
 
 
-def test_rasterize_warns_on_thin_features():
+def test_rasterize_notes_thin_features():
     dom = gallery("skyscrapers", kmax=5)
-    with pytest.warns(UserWarning, match="thinnest feature"):
-        rasterize(dom, 2.0**-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gd = rasterize(dom, 2.0**-6)
+    assert any("thinnest feature" in note for note in gd.notes)
 
 
 def test_rasterize_validation():

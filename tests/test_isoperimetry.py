@@ -17,8 +17,6 @@ from sobtrace.isoperimetry import (
     superadditivity_check,
 )
 
-from conftest import quiet_rasterize
-
 
 # ---------------------------------------------------------------------------
 # grid perimeter
@@ -58,7 +56,7 @@ def test_grid_set_validation():
     gd = rasterize(gallery("cube2"), 2.0**-4)
     with pytest.raises(ValueError, match="shape"):
         GridSet(gd, np.ones((3, 3), dtype=bool))
-    gd2 = quiet_rasterize(gallery("skyscrapers", kmax=3), 2.0**-5)
+    gd2 = rasterize(gallery("skyscrapers", kmax=3), 2.0**-5)
     with pytest.raises(ValueError, match="outside"):
         GridSet(gd2, np.ones_like(gd2.occupancy))
 
@@ -249,7 +247,7 @@ def test_profile_search_skyscrapers(sky3_g6):
 
 def test_profile_search_rooms_tail_cut():
     dom = gallery("rooms_and_passages", kmax=6)
-    gd = quiet_rasterize(dom, 2.0**-6)
+    gd = rasterize(dom, 2.0**-6)
     pt = profile_search(gd, 0.01)
     assert pt.witness["analytic"]
     assert pt.witness["kind"] == "rooms_tail_cut_m4"

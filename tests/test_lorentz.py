@@ -16,7 +16,6 @@ from sobtrace.lorentz import (
     INF,
     DistributionModel,
     LorentzIndex,
-    ProbeSpec,
     ac_diagnostic,
     conjugate_exponent,
     embedding_constant,
@@ -307,12 +306,6 @@ def test_ac_report_json_round_trip():
     payload = json.loads(rep.to_json())
     assert payload["verdict"] == AC_CONSISTENT
     assert payload["p"] == 2.0
-
-
-def test_probe_spec_validation():
-    assert ProbeSpec().n_probes >= 8
-    with pytest.raises(ValueError):
-        ProbeSpec(decades=0)
 
 
 # ---------------------------------------------------------------------------

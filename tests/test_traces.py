@@ -230,7 +230,8 @@ def test_scheme_report_serialization(cube2_g6):
     assert len(lines) == 4
     payload = json.loads(rep.to_json())
     assert payload["verdict"] == rep.verdict
-    assert payload["ac_verdict"] == rep.ac.verdict
+    assert payload["ac"]["verdict"] == rep.ac.verdict
+    assert payload["sobolev"] == rep.sobolev._asdict()
     assert len(payload["rows"]) == 3
 
 
