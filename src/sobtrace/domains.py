@@ -22,7 +22,6 @@ __all__ = [
     "Domain",
     "GridDomain",
     "face_pairs",
-    "RatioEstimate",
     "ProbeRow",
     "BallPortionReport",
     "ball_volume",
@@ -302,7 +301,6 @@ def unit_cube(n: int = 2) -> Domain:
         label=f"cube{n}_inv_d",
         scale_hint=2.0 * n,
         quantile=quantile_inv_d,
-        xi_anchor=1.0,
     )
 
     boundary = ()
@@ -375,7 +373,6 @@ def punctured_ball(n: int = 2) -> Domain:
         label=f"punctured_ball{n}_hardy_ratio",
         scale_hint=omega,
         quantile=quantile_ratio,
-        xi_anchor=1.0,
     )
 
     boundary = ()
@@ -813,6 +810,17 @@ def gallery(tag: str, kmax: int = 12) -> Domain:
 # rasterization
 
 
+def _center_axes(origin, h: float, shape) -> list[np.ndarray]:
+    """Per axis, the cell-centre coordinates origin + (i + 1/2) h."""
+    return [origin[i] + (np.arange(n) + 0.5) * h for i, n in enumerate(shape)]
+
+
+def _centers(origin, h: float, shape) -> np.ndarray:
+    """Cell centres as an array of shape (*shape, N)."""
+    axes = _center_axes(origin, h, shape)
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Uniform-grid sampling of a domain at cell centers."""
@@ -833,14 +841,10 @@ class GridDomain:
         return float(self.occupancy.sum()) * self.cell_measure
 
     def center_axes(self) -> list[np.ndarray]:
-        return [
-            self.origin[i] + (np.arange(n) + 0.5) * self.h
-            for i, n in enumerate(self.occupancy.shape)
-        ]
+        return _center_axes(self.origin, self.h, self.occupancy.shape)
 
     def centers(self) -> np.ndarray:
-        return np.stack(np.meshgrid(*self.center_axes(), indexing="ij", copy=False),
-                        axis=-1)
+        return _centers(self.origin, self.h, self.occupancy.shape)
 
     def to_csv(self) -> str:
         return csv_text(",".join("ijk"[:self.occupancy.ndim]) + ",inside,distance",
@@ -918,8 +922,7 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
             "sub-resolution parts of the domain drop out of the grid"
         )
     origin = dom.bbox[:, 0].copy()
-    axes = [origin[i] + (np.arange(counts[i]) + 0.5) * h for i in range(len(counts))]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    pts = _centers(origin, h, counts)
     occ = np.asarray(dom.inside(pts), dtype=bool)
     if not occ.any():
         raise ValueError(f"no cell center of the grid with h = {h:g} lies "
@@ -942,21 +945,14 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
 # Monte Carlo ball portions
 
 
-class RatioEstimate(float):
-    """A Monte Carlo proportion with its standard error attached."""
+class ProbeRow(NamedTuple):
+    """One ball-portion probe: a Monte Carlo proportion and its standard error."""
 
-    stderr: float
-    n: int
     point: tuple
     radius: float
-
-    def __new__(cls, value: float, stderr: float, n: int, point, radius: float):
-        obj = super().__new__(cls, value)
-        obj.stderr = float(stderr)
-        obj.n = int(n)
-        obj.point = tuple(float(c) for c in np.atleast_1d(point))
-        obj.radius = float(radius)
-        return obj
+    ratio: float
+    stderr: float
+    n: int
 
 
 def _probe_rng(seed: int, x: np.ndarray, r: float) -> np.random.Generator:
@@ -968,7 +964,7 @@ def _probe_rng(seed: int, x: np.ndarray, r: float) -> np.random.Generator:
 
 def ball_portion_ratio(
     dom: Domain, x, r: float, mc_samples: int = 10000, seed: int = 0
-) -> RatioEstimate:
+) -> ProbeRow:
     """Fraction of B(x, r) lying outside the domain, for x on the boundary.
 
     Uniform samples in the ball come from rejection sampling out of the
@@ -1002,17 +998,8 @@ def ball_portion_ratio(
     outside = ~np.asarray(dom.inside(pts), dtype=bool)
     ratio = float(outside.mean())
     stderr = math.sqrt(max(ratio * (1.0 - ratio), 1.0 / n) / n)
-    return RatioEstimate(ratio, stderr, n, x, r)
-
-
-class ProbeRow(NamedTuple):
-    """One ball-portion probe of a scan."""
-
-    point: tuple
-    radius: float
-    ratio: float
-    stderr: float
-    n: int
+    point = tuple(float(c) for c in np.atleast_1d(x))
+    return ProbeRow(point, float(r), ratio, stderr, n)
 
 
 @dataclass(frozen=True)
@@ -1073,8 +1060,7 @@ def ball_portion_scan(
     for group in groups:
         rows = []
         for p, r in sorted(group, key=lambda pr: -pr[1]):
-            est = ball_portion_ratio(dom, p, r, mc_samples=mc_samples, seed=seed)
-            rows.append(ProbeRow(est.point, est.radius, float(est), est.stderr, est.n))
+            rows.append(ball_portion_ratio(dom, p, r, mc_samples=mc_samples, seed=seed))
         all_rows.extend(rows)
         if not violating and _is_violating(rows, b_threshold):
             violating = tuple(rows)

@@ -12,6 +12,13 @@ and the distribution form
 For q = infinity both collapse to suprema over the steps.  Closed-form
 distributions (DistributionModel) extend the diagnostics past float sample
 ranges; that is how the slowly-varying counterexample below is probed.
+
+The weak tail xi mu(xi)^{1/p} at one level is ``_weak_value`` and its
+supremum over the steps of a rearrangement is ``_weak_sup``.
+``ac_diagnostic`` runs one ladder body for samples and models: sampled
+ladders are anchored at the data range and the value cap, model ladders at
+xi = 1, and a model may supply its own infinity ladder through
+``tail_probe(p)``.
 """
 
 from __future__ import annotations
@@ -86,6 +93,21 @@ def _steps(f) -> StepRearrangement:
     return rearrange(f)
 
 
+def _weak_value(mu, xi: float, p: float) -> float:
+    """xi * mu(xi)^{1/p} for a distribution function mu."""
+    m = mu(xi)
+    return xi * m ** (1.0 / p) if m > 0 else 0.0
+
+
+def _weak_sup(r: StepRearrangement, p: float, lo: float = 0.0, hi: float = INF) -> float:
+    """max of level * t_right^{1/p} over the positive steps with lo <= level <= hi."""
+    lv = r.levels
+    sel = (lv > 0) & (lv >= lo) & (lv <= hi)
+    if not np.any(sel):
+        return 0.0
+    return float(np.max(lv[sel] * r.breakpoints[1:][sel] ** (1.0 / p)))
+
+
 def lebesgue_norm(f: SampledFunction, p: float) -> float:
     """Plain L^p norm of sampled data; p = inf gives the max value."""
     if p == INF:
@@ -126,7 +148,7 @@ def lorentz_quasinorm(f, idx) -> float:
         # the integral diverge for every nonzero step function
         return float(lv[0]) if q == INF else INF
     if q == INF:
-        return float(np.max(tr[pos] ** (1.0 / p) * lv[pos]))
+        return _weak_sup(r, p)
     terms = lv[pos] ** q * (p / q) * (tr[pos] ** (q / p) - tl[pos] ** (q / p))
     return float(np.sum(terms) ** (1.0 / q))
 
@@ -166,18 +188,9 @@ def weak_norm_tail(f, xi_floor: float = 0.0, p: float = 1.0) -> float:
     if isinstance(f, DistributionModel):
         return model_weak_norm(f, p=p, xi_lo=max(xi_floor, 0.0) or None)
     r = _steps(f)
-    pos = r.levels > 0
-    if not np.any(pos):
-        return 0.0
-    u = r.levels[pos][::-1]
-    tails = r.breakpoints[1:][pos][::-1]
-    best = 0.0
-    above = u >= xi_floor
-    if np.any(above):
-        best = float(np.max(u[above] * tails[above] ** (1.0 / p)))
+    best = _weak_sup(r, p, lo=xi_floor)
     if xi_floor > 0:
-        mu_floor = r.level_measure(xi_floor)
-        best = max(best, xi_floor * mu_floor ** (1.0 / p))
+        best = max(best, _weak_value(r.level_measure, xi_floor, p))
     return best
 
 
@@ -192,11 +205,8 @@ def weak_tail_extrapolate(f, xi_probes, degree: int) -> float:
     xi = np.asarray(list(xi_probes), dtype=float)
     if xi.size < degree + 1:
         raise ValueError("need at least degree+1 probes")
-    if isinstance(f, DistributionModel):
-        g = np.array([x * f.mu(x) for x in xi])
-    else:
-        r = _steps(f)
-        g = np.array([x * r.level_measure(x) for x in xi])
+    mu = f.mu if isinstance(f, DistributionModel) else _steps(f).level_measure
+    g = np.array([_weak_value(mu, x, 1.0) for x in xi])
     coeffs = np.polyfit(1.0 / xi, g, degree)
     return float(coeffs[-1])
 
@@ -235,10 +245,11 @@ class DistributionModel:
     """A function known through a closed-form distribution mu(xi).
 
     mu must be nonincreasing with mu(xi) -> 0 as xi -> inf.  ``quantile``
-    (the rearrangement f*(t)) and ``tail_probe`` are optional; tail_probe
-    lets a model supply its own probe ladder for an end whose natural
-    parameterization escapes float range.  ``scale_hint`` is only used to
-    scale verdict thresholds, never reported as a computed value.
+    (the rearrangement f*(t)) and ``tail_probe`` are optional; tail_probe(p)
+    returns the infinity-end ladder as (coordinate, xi mu(xi)^{1/p}) pairs,
+    for a model whose natural parameterization of that end escapes float
+    range.  ``scale_hint`` is only used to scale verdict thresholds, never
+    reported as a computed value.
     """
 
     mu: Callable[[float], float]
@@ -246,8 +257,7 @@ class DistributionModel:
     label: str = ""
     scale_hint: float | None = None
     quantile: Callable[[float], float] | None = None
-    tail_probe: Callable[[str, float, int], list | None] | None = None
-    xi_anchor: float = 1.0
+    tail_probe: Callable[[float], list] | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -258,23 +268,21 @@ def model_weak_norm(
 ) -> float:
     """sup_{xi} xi * mu(xi)^{1/p} over a dyadic ladder with local refinement.
 
-    The ladder spans xi_anchor * 2^{-60..60} clipped below at xi_lo; a
-    log-space ternary refinement around the ladder argmax tightens interior
-    maxima.  Suprema attained in the limit xi -> inf are reproduced to
-    ~1e-17 relative by the ladder top.
+    The ladder spans 2^{-60..60} clipped below at xi_lo; a log-space
+    ternary refinement around the ladder argmax tightens interior maxima.
+    Suprema attained in the limit xi -> inf are reproduced to ~1e-17
+    relative by the ladder top.
     """
-    lo = xi_lo if xi_lo is not None else model.xi_anchor * 2.0**-60
-    hi = model.xi_anchor * 2.0**60
+    lo = xi_lo if xi_lo is not None else 2.0**-60
+    hi = 2.0**60
     if not (0 < lo < hi):
-        raise ValueError("need 0 < xi_lo < xi_anchor * 2^60")
-    ks = np.arange(math.floor(math.log2(lo / model.xi_anchor)),
-                   math.ceil(math.log2(hi / model.xi_anchor)) + 1)
-    grid = np.clip(model.xi_anchor * 2.0**ks, lo, hi)
+        raise ValueError("need 0 < xi_lo < 2^60")
+    ks = np.arange(math.floor(math.log2(lo)), math.ceil(math.log2(hi)) + 1)
+    grid = np.clip(2.0**ks, lo, hi)
     grid = np.unique(np.concatenate((grid, [lo, hi])))
 
     def val(x: float) -> float:
-        m = model.mu(x)
-        return x * m ** (1.0 / p) if m > 0 else 0.0
+        return _weak_value(model.mu, x, p)
 
     vals = np.array([val(x) for x in grid])
     i = int(np.argmax(vals))
@@ -344,17 +352,16 @@ def _classify_end(values, threshold: float) -> str:
     return INCONCLUSIVE
 
 
-def _extend_until_below(xi0: float, value_at, threshold: float, limit: int = 200):
+def _extend_until_below(xi0: float, value_at, threshold: float, limit: int):
     """Extend a dyadic downward ladder until the value drops below threshold."""
-    xs, vs = [], []
+    pts = []
     xi = xi0
     for _ in range(limit):
         xi *= 0.5
-        xs.append(xi)
-        vs.append(value_at(xi))
-        if vs[-1] <= threshold:
+        pts.append((xi, value_at(xi)))
+        if pts[-1][1] <= threshold:
             break
-    return xs, vs
+    return pts
 
 
 def ac_diagnostic(f, p: float) -> ACReport:
@@ -369,106 +376,88 @@ def ac_diagnostic(f, p: float) -> ACReport:
     violation inside the resolved range stands.
 
     threshold = 1e-3 * (q = inf quasinorm scale); each ladder end has 40
-    probes.
+    probes.  Sampled ladders end at the value cap (or 4 max f) and start
+    below max f; model ladders are anchored at xi = 1, and tail_probe(p)
+    replaces the infinity ladder.  Each input kind walks a zero end that is
+    still above threshold further down by its own step budget.
     """
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
     n = _N_PROBES
     notes: list[str] = []
-    trend: list[tuple[str, float, float]] = []
+    truncated = False
+    inf_pts = None
 
     if isinstance(f, DistributionModel):
-        scale = f.scale_hint if f.scale_hint else None
+        mu, quantile, total = f.mu, f.quantile, f.total_measure
+        scale = f.scale_hint or None
         notes.extend(f.notes)
+        j_top, j0 = n, 0
+        if f.tail_probe is not None:
+            inf_pts = f.tail_probe(p)
 
-        def g(xi: float) -> float:
-            m = f.mu(xi)
-            return xi * m ** (1.0 / p) if m > 0 else 0.0
-
-        inf_pts = f.tail_probe("infinity", p, n) if f.tail_probe else None
-        if inf_pts is None:
-            xs = [f.xi_anchor * 2.0**j for j in range(1, n + 1)]
-            inf_pts = [(x, g(x)) for x in xs]
-        zero_pts = f.tail_probe("zero", p, n) if f.tail_probe else None
-        if zero_pts is None:
-            xs = [f.xi_anchor * 2.0**-j for j in range(1, n + 1)]
-            zero_pts = [(x, g(x)) for x in xs]
-        if scale is None:
-            scale = max([v for _, v in inf_pts] + [v for _, v in zero_pts])
-        threshold = _THRESHOLD_REL * scale
-        # adaptive extension so a genuinely vanishing zero end can certify
-        zvals = [v for _, v in zero_pts]
-        if zvals[-1] > threshold and zvals[-1] < zvals[0]:
-            xs, vs = _extend_until_below(zero_pts[-1][0], g, threshold)
-            zero_pts = zero_pts + list(zip(xs, vs))
-        if f.quantile is not None:
-            T = f.total_measure
-            for j in range(1, n + 1):
-                t = T * 2.0**-j
-                trend.append(("t_zero", t, t ** (1.0 / p) * f.quantile(t)))
-            trend.append(("t_infinity", T, 0.0))
-        inf_vals = [v for _, v in inf_pts]
-        zero_vals = [v for _, v in zero_pts]
-        inf_state = _classify_end(inf_vals, threshold)
-        zero_state = _classify_end(zero_vals, threshold)
-        trend.extend(("xi_infinity", x, v) for x, v in inf_pts)
-        trend.extend(("xi_zero", x, v) for x, v in zero_pts)
+        def extension(zvals, threshold):
+            # only a zero end that is still falling is walked further
+            return 200 if zvals[-1] < zvals[0] else 0
     else:
         r = _steps(f)
-        scale = lorentz_quasinorm(r, (p, INF))
+        scale = _weak_sup(r, p)
         if scale == 0.0:
             return ACReport(
                 p=p, verdict=AC_CONSISTENT, limit_at_zero_estimate=0.0,
                 limit_at_infinity_estimate=0.0, threshold=0.0,
                 trend_samples=(), notes=("identically zero",),
             )
-        threshold = _THRESHOLD_REL * scale
+        mu, quantile, total = r.level_measure, r, r.total_measure
         vmax = float(r.levels[0])
-        total = r.total_measure
-
-        def g(xi: float) -> float:
-            return xi * r.level_measure(xi) ** (1.0 / p)
-
         cap = f.value_cap if isinstance(f, SampledFunction) else None
         truncated = cap is not None and cap < vmax
-        top = cap if truncated else 4.0 * vmax
-        j_top = math.floor(math.log2(top))
-        xs = [2.0**j for j in range(j_top - n + 1, j_top + 1)]
-        inf_pts = [(x, g(x)) for x in xs]
-        j0 = math.floor(math.log2(vmax))
-        xs = [2.0**j for j in range(j0 - 1, j0 - 1 - n, -1)]
-        zero_pts = [(x, g(x)) for x in xs]
-        zvals = [v for _, v in zero_pts]
-        if zvals[-1] > threshold:
-            # below the smallest positive level mu is constant, so the
-            # ladder certifies once xi <= threshold / mu(0); budget enough
-            # steps to walk there even when the data spans many octaves
-            xi_start = zero_pts[-1][0]
-            vmin = float(r.levels[r.levels > 0][-1])
-            target = min(vmin, threshold / r.level_measure(0.0))
-            need = 8
-            if 0.0 < target < xi_start:
-                need = math.ceil(math.log2(xi_start / target)) + 4
-            xs, vs = _extend_until_below(zero_pts[-1][0], g, threshold,
-                                         limit=max(200, need))
-            zero_pts = zero_pts + list(zip(xs, vs))
-        inf_vals = [v for _, v in inf_pts]
-        zero_vals = [v for _, v in zero_pts]
-        inf_state = _classify_end(inf_vals, threshold)
-        zero_state = _classify_end(zero_vals, threshold)
         if truncated:
             notes.append(
                 f"value_cap {cap:g} truncated the infinity ladder below the "
                 f"data max {vmax:g}; a zero limit cannot be certified there"
             )
-            if inf_state == "consistent":
-                inf_state = INCONCLUSIVE
+        j_top = math.floor(math.log2(cap if truncated else 4.0 * vmax))
+        j0 = math.floor(math.log2(vmax))
+
+        def extension(zvals, threshold):
+            # below the smallest positive level mu is constant, so the
+            # ladder certifies once xi <= threshold / mu(0); budget enough
+            # steps to walk there even when the data spans many octaves
+            xi_start = 2.0 ** (j0 - n)
+            target = min(float(r.levels[r.levels > 0][-1]), threshold / mu(0.0))
+            if 0.0 < target < xi_start:
+                return max(200, math.ceil(math.log2(xi_start / target)) + 4)
+            return 200
+
+    def g(xi: float) -> float:
+        return _weak_value(mu, xi, p)
+
+    if inf_pts is None:
+        inf_pts = [(2.0**j, g(2.0**j)) for j in range(j_top - n + 1, j_top + 1)]
+    zero_pts = [(2.0**j, g(2.0**j)) for j in range(j0 - 1, j0 - 1 - n, -1)]
+    if scale is None:
+        scale = max(v for _, v in inf_pts + zero_pts)
+    threshold = _THRESHOLD_REL * scale
+    zvals = [v for _, v in zero_pts]
+    if zvals[-1] > threshold:
+        zero_pts += _extend_until_below(zero_pts[-1][0], g, threshold,
+                                        extension(zvals, threshold))
+    inf_vals = [v for _, v in inf_pts]
+    zero_vals = [v for _, v in zero_pts]
+    inf_state = _classify_end(inf_vals, threshold)
+    zero_state = _classify_end(zero_vals, threshold)
+    if truncated and inf_state == "consistent":
+        inf_state = INCONCLUSIVE
+
+    trend: list[tuple[str, float, float]] = []
+    if quantile is not None:
         for j in range(1, n + 1):
             t = total * 2.0**-j
-            trend.append(("t_zero", t, t ** (1.0 / p) * float(r(t))))
+            trend.append(("t_zero", t, t ** (1.0 / p) * quantile(t)))
         trend.append(("t_infinity", total, 0.0))
-        trend.extend(("xi_infinity", x, v) for x, v in inf_pts)
-        trend.extend(("xi_zero", x, v) for x, v in zero_pts)
+    trend.extend(("xi_infinity", x, v) for x, v in inf_pts)
+    trend.extend(("xi_zero", x, v) for x, v in zero_pts)
 
     if inf_state == "violated":
         verdict = AC_VIOLATED_AT_INFINITY
@@ -571,9 +560,7 @@ def sierpinski_model(p: float, total_measure: float = 1.0) -> DistributionModel:
         y = brentq(g, y_K, y_hi, xtol=1e-14, rtol=1e-15)
         return math.exp(-math.exp(y))
 
-    def tail_probe(end: str, p_arg: float, n: int):
-        if end != "infinity":
-            return None
+    def tail_probe(p_arg: float):
         jmax = max(14, math.ceil(math.log2(1000.0 * p_arg)) + 2)
         return [(y_K * 2.0**j, 1.0 / (y_K * 2.0**j)) for j in range(1, jmax + 1)]
 
@@ -584,7 +571,6 @@ def sierpinski_model(p: float, total_measure: float = 1.0) -> DistributionModel:
         scale_hint=1.0 / y_K,
         quantile=quantile,
         tail_probe=tail_probe,
-        xi_anchor=1.0,
         notes=("infinity-end coordinates are y = loglog(1/t), not xi",),
     )
 
@@ -610,10 +596,12 @@ def sierpinski_partial_integrals(p: float, q: float, eps_list) -> list[float]:
     return out
 
 
-def sierpinski_divergence_certificate(
-    p: float, q: float, n_windows: int = 3, base: float = 10.0
-) -> dict:
-    """Window integrals of e^y/y^q over successive decades of y.
+# the divergence certificate integrates over this many decades of y
+_CERT_WINDOWS = 3
+
+
+def sierpinski_divergence_certificate(p: float, q: float) -> dict:
+    """Window integrals of e^y/y^q over three successive decades of y.
 
     Increments that strictly increase without bound certify divergence of
     the L^{p,q} integral; log-space summation keeps e^y in range.  Float
@@ -621,10 +609,9 @@ def sierpinski_divergence_certificate(
     (needs t below exp(-e^q)), which is why the certificate runs in y.
     """
     y0 = max(p, q, 2.0)
+    windows = [[y0 * 10.0**i, y0 * 10.0 ** (i + 1)] for i in range(_CERT_WINDOWS)]
     log_increments = []
-    for i in range(n_windows):
-        a = y0 * base**i
-        b = y0 * base ** (i + 1)
+    for a, b in windows:
         ys = np.linspace(a, b, 20001)
         g = ys - q * np.log(ys)
         w = np.full(ys.shape, ys[1] - ys[0])
@@ -637,7 +624,7 @@ def sierpinski_divergence_certificate(
     return {
         "p": p,
         "q": q,
-        "y_windows": [[y0 * base**i, y0 * base ** (i + 1)] for i in range(n_windows)],
+        "y_windows": windows,
         "log_increments": log_increments,
         "strictly_increasing": bool(np.all(diffs > 0)),
         "log_growth": float(log_increments[-1] - log_increments[0]),

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import GridDomain, face_pairs
-from .lorentz import ACReport, ac_diagnostic, weak_tail_extrapolate
+from .lorentz import INCONCLUSIVE, ACReport, _weak_sup, ac_diagnostic, weak_tail_extrapolate
 from .rearrangement import SampledFunction, distribution, rearrange
 from .report import Report, csv_text
 
@@ -41,7 +41,6 @@ __all__ = [
 
 CONSISTENT_WITH_ZERO_TRACE = "CONSISTENT_WITH_ZERO_TRACE"
 INCONSISTENT_WITH_ZERO_TRACE = "INCONSISTENT_WITH_ZERO_TRACE"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -191,11 +190,7 @@ def weak_norm_estimate(u: GridFunction, p: float = 1.0) -> WeakNormEstimate:
     f = ratio_field(u)
     r = rearrange(f)
     cap = f.value_cap
-    sel = r.levels <= cap
-    if np.any(sel):
-        raw = float(np.max(r.levels[sel] * r.breakpoints[1:][sel] ** (1.0 / p)))
-    else:
-        raw = 0.0
+    raw = _weak_sup(r, p, hi=cap)
     n = gd.domain.dimension
     degree = n - 1
     js = np.arange(2, 2 + degree + 2)
@@ -206,7 +201,7 @@ def weak_norm_estimate(u: GridFunction, p: float = 1.0) -> WeakNormEstimate:
     if len(probes) >= degree + 1 and np.any(mus > 0):
         aligned = float(np.max(probes * mus ** (1.0 / p)))
         if p == 1.0:
-            extrapolated = float(weak_tail_extrapolate(f, probes, degree=degree))
+            extrapolated = float(weak_tail_extrapolate(r, probes, degree=degree))
             est = max(aligned, extrapolated)
         else:
             est = aligned
@@ -388,9 +383,13 @@ def maximal_operator(u: GridFunction, R, radii: str = "all") -> GridFunction:
     return GridFunction(gd, M, f"M[{u.label}]" if u.label else "M")
 
 
-def hardy_pointwise_check(u: GridFunction, factor: float = 2.0,
-                          radii: str = "dyadic") -> dict:
-    """Estimate sup |u| / (d * M_{factor d} |grad u|) over trusted cells.
+# hardy_pointwise_check bounds |u| by d times the maximal function of
+# |grad u| over balls of radius up to this multiple of d
+_HARDY_FACTOR = 2.0
+
+
+def hardy_pointwise_check(u: GridFunction) -> dict:
+    """Estimate sup |u| / (d * M_{2d} |grad u|) over trusted cells.
 
     Cells within 2h of the boundary and cells where the maximal average
     vanishes are excluded; the constant is an upper estimate because the
@@ -398,16 +397,16 @@ def hardy_pointwise_check(u: GridFunction, factor: float = 2.0,
     """
     gd = u.parent
     g = GridFunction(gd, gradient_magnitude(u), "grad")
-    M = maximal_operator(g, factor * gd.distance_field, radii=radii)
+    M = maximal_operator(g, _HARDY_FACTOR * gd.distance_field, radii="dyadic")
     d = gd.distance_field
     trusted = gd.occupancy & (d >= 2.0 * gd.h) & (M.values > 0)
     if not trusted.any():
-        return {"constant_estimate": math.inf, "cells": 0, "factor": factor}
+        return {"constant_estimate": math.inf, "cells": 0, "factor": _HARDY_FACTOR}
     vals = np.abs(u.values[trusted]) / (d[trusted] * M.values[trusted])
     return {
         "constant_estimate": float(vals.max()),
         "cells": int(trusted.sum()),
-        "factor": float(factor),
+        "factor": _HARDY_FACTOR,
     }
 
 

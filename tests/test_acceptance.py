@@ -237,7 +237,7 @@ def test_lorentz_equivalence_embedding_strictness():
             partials = sierpinski_partial_integrals(p, q,
                                                     [1e-4, 1e-8, 1e-12])
             assert partials[0] < partials[1] < partials[2]
-            cert = sierpinski_divergence_certificate(p, q, n_windows=3)
+            cert = sierpinski_divergence_certificate(p, q)
             assert cert["strictly_increasing"]
             assert cert["log_growth"] > 10.0
 

@@ -301,6 +301,48 @@ def test_ac_cap_truncation_blocks_consistent_verdict():
     assert any("value_cap" in note for note in rep.notes)
 
 
+def _ladder(rep, kind):
+    return [x for k, x, _ in rep.trend_samples if k == kind]
+
+
+@pytest.mark.parametrize("f, inf_exps, zero_exps", [
+    # capped: the infinity ladder ends at the cap 3, the zero ladder starts
+    # one octave below the data max 8
+    (SampledFunction(values=[8.0, 4.0, 2.0, 1.0], measures=[0.1, 0.2, 0.3, 0.4],
+                     value_cap=3.0), range(-38, 2), range(2, -38, -1)),
+    # 301 octaves of data: the zero end walks 270 steps past its 40 probes
+    (SampledFunction(values=2.0 ** -np.arange(301.0), measures=2.0 ** np.arange(301.0)),
+     range(-37, 3), range(-1, -311, -1)),
+], ids=["capped", "octaves"])
+def test_ac_sampled_ladders(f, inf_exps, zero_exps):
+    rep = ac_diagnostic(f, p=1.0)
+    assert _ladder(rep, "xi_infinity") == [2.0**j for j in inf_exps]
+    assert _ladder(rep, "xi_zero") == [2.0**j for j in zero_exps]
+    total = rearrange(f).total_measure
+    assert _ladder(rep, "t_zero") == [total * 2.0**-j for j in range(1, 41)]
+    assert _ladder(rep, "t_infinity") == [total]
+
+
+def test_ac_model_ladders():
+    rep = ac_diagnostic(sierpinski_model(2.0), p=2.0)
+    # y_K = loglog(1/K) = 2 for p = 2, and the ladder runs y_K 2^{1..14}
+    assert _ladder(rep, "xi_infinity") == pytest.approx([2.0**j for j in range(2, 16)],
+                                                        rel=1e-14)
+    assert _ladder(rep, "xi_zero") == [2.0**-j for j in range(1, 41)]
+    assert _ladder(rep, "t_zero") == [2.0**-j for j in range(1, 41)]
+    assert _ladder(rep, "t_infinity") == [1.0]
+
+
+def test_model_tail_probe_is_the_infinity_ladder():
+    ladder = [(10.0, 0.5), (20.0, 0.25), (40.0, 0.125)]
+    model = DistributionModel(mu=lambda xi: min(1.0, 1.0 / xi), total_measure=1.0,
+                              tail_probe=lambda p: [(x, p * v) for x, v in ladder])
+    rep = ac_diagnostic(model, p=2.0)
+    rows = [(x, v) for k, x, v in rep.trend_samples if k == "xi_infinity"]
+    assert rows == [(x, 2.0 * v) for x, v in ladder]
+    assert rep.limit_at_infinity_estimate == 0.25
+
+
 def test_ac_report_json_round_trip():
     rep = ac_diagnostic(SampledFunction(values=[1.0], measures=[1.0]), p=2.0)
     payload = json.loads(rep.to_json())

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from sobtrace import lorentz, traces
 from sobtrace.domains import gallery, rasterize
 from sobtrace.lorentz import AC_VIOLATED_AT_INFINITY
+from sobtrace.rearrangement import rearrange
 from sobtrace.traces import (
     CONSISTENT_WITH_ZERO_TRACE,
     INCONSISTENT_WITH_ZERO_TRACE,
@@ -136,6 +138,20 @@ def test_weak_norm_without_boundary_layer(cube2_g7_d):
     assert est.estimate == 1.0
     assert est.raw_sup == 1.0
     assert est.extrapolated is None
+
+
+def test_weak_norm_estimate_rearranges_once(monkeypatch, cube2_g6):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return rearrange(f)
+
+    monkeypatch.setattr(traces, "rearrange", counted)
+    monkeypatch.setattr(lorentz, "rearrange", counted)
+    est = weak_norm_estimate(constant_function(cube2_g6), p=1.0)
+    assert est.extrapolated is not None
+    assert len(calls) == 1
 
 
 def test_weak_norm_punctured_ball(pball2_g9):
