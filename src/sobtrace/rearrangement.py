@@ -8,7 +8,9 @@ cumulative sums), which is what the quasinorm layer relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +49,10 @@ class SampledFunction:
     value_cap: float | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).ravel()
-        m = np.asarray(self.measures, dtype=float).ravel()
+        # owned copies: the caller's buffers must not change the samples
+        # under a cached rearrangement
+        v = np.array(np.ravel(self.values), dtype=float)
+        m = np.array(np.ravel(self.measures), dtype=float)
         if v.size == 0:
             raise ValueError("need at least one sample")
         if v.shape != m.shape:
@@ -66,6 +70,8 @@ class SampledFunction:
                 raise ValueError(
                     f"declared total_measure {declared!r} != sum of measures {total!r}"
                 )
+        v.flags.writeable = False
+        m.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "total_measure", total)
@@ -117,6 +123,8 @@ class StepRearrangement:
             raise ValueError("levels must be strictly decreasing")
         if np.any(lv < 0):
             raise ValueError("levels must be nonnegative")
+        b.flags.writeable = False
+        lv.flags.writeable = False
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "levels", lv)
 
@@ -133,11 +141,16 @@ class StepRearrangement:
         return float(out) if out.ndim == 0 else out
 
     def level_measure(self, xi: float) -> float:
-        """Measure of {f* > xi}; equals the distribution of the source data."""
-        if xi < 0:
+        """Measure of {f* > xi}; equals the distribution of the source data.
+
+        xi = inf gives 0.0; a negative or NaN xi raises.
+        """
+        if math.isnan(xi) or xi < 0:
             raise ValueError("xi must be nonnegative")
-        # levels strictly decreasing: find rightmost step with level > xi
-        n = int(np.searchsorted(-self.levels, -xi, side="left"))
+        # levels strictly decreasing, so the steps with level > xi are the
+        # first size - #{level <= xi}, counted on the ascending view
+        lv = self.levels
+        n = lv.size - int(np.searchsorted(lv[::-1], xi, side="right"))
         return float(self.breakpoints[n])
 
     def to_csv(self) -> str:
@@ -162,13 +175,36 @@ def distribution(f: SampledFunction, xi: float) -> float:
     return float(f.measures[f.values > xi].sum())
 
 
+# (weak reference to a SampledFunction, its rearrangement), or None
+_slot: tuple | None = None
+
+
+def _clear_slot(ref: weakref.ref) -> None:
+    # threads racing on the slot can only cost each other a cache miss
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is ref:
+        _slot = None
+
+
 def rearrange(f: SampledFunction) -> StepRearrangement:
     """Exact non-increasing rearrangement of a SampledFunction.
 
     Sorts samples by descending value (stable), merges ties, and emits the
     step function on [0, total_measure).  Samples with value 0 form the
     trailing step.
+
+    The last rearrangement built is kept in one slot, keyed by the identity
+    of ``f`` through a weak reference: calling again with the same ``f``
+    returns the same object without sorting, and the slot empties when
+    ``f`` is collected or another function is rearranged.  This is sound
+    because ``f`` owns read-only copies of its samples and the returned
+    arrays are read-only too.
     """
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0]() is f:
+        return slot[1]
     order = np.argsort(-f.values, kind="stable")
     vals = f.values[order]
     meas = f.measures[order]
@@ -177,5 +213,7 @@ def rearrange(f: SampledFunction) -> StepRearrangement:
     levels = vals[starts]
     sums = np.add.reduceat(meas, starts)
     breaks = np.concatenate(([0.0], np.cumsum(sums)))
-    return StepRearrangement(breakpoints=breaks, levels=levels)
+    r = StepRearrangement(breakpoints=breaks, levels=levels)
+    _slot = (weakref.ref(f, _clear_slot), r)
+    return r
 

@@ -186,8 +186,11 @@ def weak_norm_estimate(u: GridFunction, p: float = 1.0) -> WeakNormEstimate:
     """
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
-    gd = u.parent
-    f = ratio_field(u)
+    return _ratio_weak_norm(ratio_field(u), u.parent, p)
+
+
+def _ratio_weak_norm(f: SampledFunction, gd: GridDomain, p: float) -> WeakNormEstimate:
+    """Body of weak_norm_estimate for the ratio field f of a function on gd."""
     r = rearrange(f)
     cap = f.value_cap
     raw = _weak_sup(r, p, hi=cap)
@@ -313,8 +316,9 @@ def approximation_scheme(
             notes.append("residuals decay but have not crossed the threshold")
     if any(r[4] for r in rows):
         notes.append(f"rows with k > {k_resolve:g} are below grid resolution")
-    wne = weak_norm_estimate(u, p=1.0)
-    ac = ac_diagnostic(ratio_field(u), p=1.0)
+    f = ratio_field(u)
+    wne = _ratio_weak_norm(f, gd, 1.0)
+    ac = ac_diagnostic(f, p=1.0)
     sob = sobolev_norm(u, p)
     return DiagnosticReport(
         p=float(p),

@@ -343,6 +343,28 @@ def test_model_tail_probe_is_the_infinity_ladder():
     assert rep.limit_at_infinity_estimate == 0.25
 
 
+def test_sweep_op_sorts_once(monkeypatch):
+    # 32 quasinorm forms, the weak tail and the diagnostic read one sort
+    rng = np.random.default_rng(11)
+    f = SampledFunction(np.round(rng.lognormal(0.0, 1.5, 3000), 1),
+                        rng.integers(1, 2**20, 3000) * 2.0**-20)
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(args[0].size)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    for p in (1.0, 1.5, 2.0, 7.0):
+        for q in (1.0, 2.0, p, INF):
+            lorentz_quasinorm(f, (p, q))
+            lorentz_quasinorm_distribution(f, (p, q))
+    weak_norm_tail(f)
+    ac_diagnostic(f, p=1.0)
+    assert sorts == [3000]
+
+
 def test_ac_report_json_round_trip():
     rep = ac_diagnostic(SampledFunction(values=[1.0], measures=[1.0]), p=2.0)
     payload = json.loads(rep.to_json())

@@ -1,6 +1,7 @@
 """Unit tests for measure-weighted samples and their rearrangements."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def test_level_measure_matches_distribution():
     r = rearrange(f)
     for xi in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
         assert r.level_measure(xi) == distribution(f, xi)
+    assert r.level_measure(math.inf) == 0.0
+    # tied data with zeros: at every level and one ulp either side of it
+    rng = np.random.default_rng(8)
+    values = np.concatenate((np.round(rng.lognormal(0.0, 1.5, 400), 1), [0.0, 0.0]))
+    f = SampledFunction(values, rng.integers(1, 2**20, values.size) * 2.0**-20)
+    r = rearrange(f)
+    for level in r.levels:
+        for xi in (np.nextafter(level, -math.inf), level, np.nextafter(level, math.inf)):
+            if xi >= 0:
+                assert r.level_measure(xi) == distribution(f, xi)
 
 
 def test_tied_values_merge_into_one_step():
@@ -124,7 +135,50 @@ def test_evaluation_domain_errors():
     with pytest.raises(ValueError):
         r.level_measure(-1.0)
     with pytest.raises(ValueError):
+        r.level_measure(math.nan)
+    with pytest.raises(ValueError):
         distribution(SampledFunction.from_pairs(ORACLE), -2.0)
+
+
+# ---------------------------------------------------------------------------
+# the one-slot cache and read-only samples
+
+
+def test_rearrange_returns_the_cached_object():
+    f = SampledFunction.from_pairs(ORACLE)
+    assert rearrange(f) is rearrange(f)
+
+
+def test_rearrangement_slot_holds_one_live_function():
+    f = SampledFunction.from_pairs(ORACLE)
+    ref = weakref.ref(rearrange(f))
+    assert ref() is not None  # kept while f lives
+    del f
+    assert ref() is None  # freed with f
+    g = SampledFunction.from_pairs(ORACLE)
+    ref = weakref.ref(rearrange(g))
+    rearrange(SampledFunction.from_pairs(ORACLE[:2]))
+    assert ref() is None  # evicted by the next function
+
+
+@pytest.mark.parametrize("attr", ["values", "measures", "levels", "breakpoints"])
+def test_sample_and_step_arrays_are_read_only(attr):
+    f = SampledFunction.from_pairs(ORACLE)
+    owner = f if attr in ("values", "measures") else rearrange(f)
+    with pytest.raises(ValueError):
+        getattr(owner, attr)[0] = 9.0
+
+
+def test_sampled_function_copies_its_source():
+    values = np.array([3.0, 1.0])
+    measures = np.array([1.0, 2.0])
+    f = SampledFunction(values, measures)
+    r = rearrange(f)
+    values[0] = 9.0
+    measures[1] = 5.0
+    assert f.values.tolist() == [3.0, 1.0]
+    assert f.measures.tolist() == [1.0, 2.0]
+    assert rearrange(f) is r and r.levels.tolist() == [3.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,29 @@ def test_scheme_report_serialization(cube2_g6):
     assert len(payload["rows"]) == 3
 
 
+def test_scheme_builds_and_sorts_the_ratio_field_once(monkeypatch, cube2_g6):
+    u = constant_function(cube2_g6)
+    expected = weak_norm_estimate(u, p=1.0).estimate
+    fields = []
+    sorts = []
+    argsort = np.argsort
+
+    def counted_field(u):
+        fields.append(u)
+        return ratio_field(u)
+
+    def counted_sort(*args, **kwargs):
+        sorts.append(args[0].size)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(traces, "ratio_field", counted_field)
+    monkeypatch.setattr(np, "argsort", counted_sort)
+    rep = approximation_scheme(u, p=2.0)
+    assert rep.weak_norm == expected
+    assert len(fields) == 1
+    assert sorts == [int(cube2_g6.occupancy.sum())]
+
+
 def test_scheme_validation(cube2_g6):
     c = constant_function(cube2_g6)
     with pytest.raises(ValueError):
