@@ -46,6 +46,10 @@ __all__ = [
 VIOLATED_SEQUENCE_FOUND = "VIOLATED_SEQUENCE_FOUND"
 PLAUSIBLY_SATISFIED = "PLAUSIBLY_SATISFIED"
 
+# Distances below TRUSTED_LAYER_CELLS * h are not trusted: a cell that close
+# to the boundary cannot resolve it.
+TRUSTED_LAYER_CELLS = 2
+
 
 def ball_volume(n: int) -> float:
     """Lebesgue measure of the unit ball in R^n."""
@@ -916,9 +920,11 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
     for s, n in zip(sides, counts):
         if abs(n * h - s) > 1e-12:
             notes.append(f"bbox side {s:g} covered by {n} cells of {h:g}")
-    if dom.thinnest_feature is not None and dom.thinnest_feature < 2.0 * h:
+    layer = TRUSTED_LAYER_CELLS * h
+    if dom.thinnest_feature is not None and dom.thinnest_feature < layer:
         notes.append(
-            f"thinnest feature {dom.thinnest_feature:g} is below 2h = {2*h:g}; "
+            f"thinnest feature {dom.thinnest_feature:g} is below "
+            f"{TRUSTED_LAYER_CELLS}h = {layer:g}; "
             "sub-resolution parts of the domain drop out of the grid"
         )
     origin = dom.bbox[:, 0].copy()

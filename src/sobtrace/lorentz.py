@@ -200,14 +200,21 @@ def weak_tail_extrapolate(f, xi_probes, degree: int) -> float:
     Fits a polynomial of the given degree in the variable 1/xi and returns
     the value at 1/xi = 0.  On rasterized reciprocal-distance fields the
     product xi * mu(xi) is polynomial in 1/xi at cell-aligned probes, so the
-    fit removes the staircase bias of the raw supremum.
+    fit removes the staircase bias of the raw supremum.  The fit variable
+    1/xi is scaled by the power of two that puts its largest value in
+    [0.5, 1), which leaves the value at 0 unchanged and keeps the
+    least-squares columns in range for probes of any size.  Raises
+    ValueError for a probe that is not positive and finite.
     """
     xi = np.asarray(list(xi_probes), dtype=float)
     if xi.size < degree + 1:
         raise ValueError("need at least degree+1 probes")
+    if not np.all(np.isfinite(xi) & (xi > 0)):
+        raise ValueError("probes must be positive and finite")
     mu = f.mu if isinstance(f, DistributionModel) else _steps(f).level_measure
     g = np.array([_weak_value(mu, x, 1.0) for x in xi])
-    coeffs = np.polyfit(1.0 / xi, g, degree)
+    x = 1.0 / xi
+    coeffs = np.polyfit(np.ldexp(x, -math.frexp(x.max())[1]), g, degree)
     return float(coeffs[-1])
 
 

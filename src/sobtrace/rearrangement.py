@@ -192,7 +192,8 @@ def rearrange(f: SampledFunction) -> StepRearrangement:
 
     Sorts samples by descending value (stable), merges ties, and emits the
     step function on [0, total_measure).  Samples with value 0 form the
-    trailing step.
+    trailing step.  A step whose measure is lost in the running sum of the
+    steps above it is dropped, so breakpoints stay strictly increasing.
 
     The last rearrangement built is kept in one slot, keyed by the identity
     of ``f`` through a weak reference: calling again with the same ``f``
@@ -213,6 +214,12 @@ def rearrange(f: SampledFunction) -> StepRearrangement:
     levels = vals[starts]
     sums = np.add.reduceat(meas, starts)
     breaks = np.concatenate(([0.0], np.cumsum(sums)))
+    # a step moves the running sum unless it is at most half an ulp of it,
+    # so at most 2^-53 of the total; such a step has no width: drop it
+    if sums.min() <= breaks[-1] * 2.0**-53:
+        wide = np.diff(breaks) > 0
+        levels = levels[wide]
+        breaks = breaks[np.concatenate(([True], wide))]
     r = StepRearrangement(breakpoints=breaks, levels=levels)
     _slot = (weakref.ref(f, _clear_slot), r)
     return r

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domains import GridDomain, face_pairs
+from .domains import TRUSTED_LAYER_CELLS, GridDomain, face_pairs
 from .lorentz import INCONCLUSIVE, ACReport, _weak_sup, ac_diagnostic, weak_tail_extrapolate
 from .rearrangement import SampledFunction, distribution, rearrange
 from .report import Report, csv_text
@@ -153,7 +153,7 @@ def ratio_field(u: GridFunction) -> SampledFunction:
     if np.any(d <= 0):
         raise ValueError("distance field vanishes on an occupied cell")
     ratios = np.abs(u.values[occ]) / d
-    trusted = d >= 2.0 * gd.h
+    trusted = d >= TRUSTED_LAYER_CELLS * gd.h
     cap = float(ratios[trusted].max()) if trusted.any() else float(ratios.max())
     cap = max(cap, np.finfo(float).tiny)
     return SampledFunction(
@@ -196,7 +196,7 @@ def _ratio_weak_norm(f: SampledFunction, gd: GridDomain, p: float) -> WeakNormEs
     raw = _weak_sup(r, p, hi=cap)
     n = gd.domain.dimension
     degree = n - 1
-    js = np.arange(2, 2 + degree + 2)
+    js = np.arange(TRUSTED_LAYER_CELLS, TRUSTED_LAYER_CELLS + degree + 2)
     probes = (1.0 / (js * gd.h))
     probes = probes[probes <= cap]
     mus = np.array([r.level_measure(x) for x in probes])
@@ -289,7 +289,7 @@ def approximation_scheme(
         raise ValueError("k_list must be positive")
     d = gd.distance_field
     occ = gd.occupancy
-    k_resolve = 1.0 / (2.0 * gd.h)
+    k_resolve = 1.0 / (TRUSTED_LAYER_CELLS * gd.h)
     rows = []
     notes = []
     for k in k_list:
@@ -403,7 +403,7 @@ def hardy_pointwise_check(u: GridFunction) -> dict:
     g = GridFunction(gd, gradient_magnitude(u), "grad")
     M = maximal_operator(g, _HARDY_FACTOR * gd.distance_field, radii="dyadic")
     d = gd.distance_field
-    trusted = gd.occupancy & (d >= 2.0 * gd.h) & (M.values > 0)
+    trusted = gd.occupancy & (d >= TRUSTED_LAYER_CELLS * gd.h) & (M.values > 0)
     if not trusted.any():
         return {"constant_estimate": math.inf, "cells": 0, "factor": _HARDY_FACTOR}
     vals = np.abs(u.values[trusted]) / (d[trusted] * M.values[trusted])

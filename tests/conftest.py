@@ -11,11 +11,6 @@ from sobtrace.domains import gallery, rasterize
 
 
 @pytest.fixture(scope="session")
-def cube1_g8():
-    return rasterize(gallery("cube1"), 2.0**-8)
-
-
-@pytest.fixture(scope="session")
 def cube2_g7():
     return rasterize(gallery("cube2"), 2.0**-7)
 

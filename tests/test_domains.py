@@ -418,6 +418,20 @@ def test_scan_finds_squares_stack_sequence():
     payload = json.loads(report.to_json())
     assert payload["verdict"] == VIOLATED_SEQUENCE_FOUND
     assert len(payload["probes"]) == len(report.probes)
+    # at 100000 samples: five gaps, gap k probed at radius 2^-k - 2^-2k,
+    # whose ball portion is 1 / (pi (2^k - 1)) within 3 stderr
+    dom = gallery("squares_stack", kmax=8)
+    report = ball_portion_scan(dom, mc_samples=100000)
+    assert report.verdict == VIOLATED_SEQUENCE_FOUND
+    seq = report.violating_sequence
+    assert len(seq) == 5
+    for point, radius, ratio, stderr, n in seq:
+        assert n == 100000
+        k = round(-math.log2(radius))
+        assert radius == 2.0**-k - 2.0 ** (-2 * k)
+        expected = 1.0 / (math.pi * (2.0**k - 1.0))
+        assert abs(ratio - expected) <= 3.0 * stderr
+    assert ball_portion_scan(dom, mc_samples=100000).to_json() == report.to_json()
 
 
 def test_scan_cube_plausibly_satisfied():

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -113,6 +115,11 @@ def test_rectangle_profile_bound_below_witness():
         s = rng.uniform(0.0, a / 2.0)
         prof = rectangle_profile(a, s)
         assert prof.lower_bound <= prof.witness_perimeter * (1 + 1e-12)
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        a = float(rng.uniform(0.05, 0.95))
+        s = float(rng.uniform(0.0, 1.0)) * a / 2.0
+        assert math.sqrt(2.0 * a * s) <= rectangle_profile(a, s).witness_perimeter
 
 
 def test_skyscraper_profile_bound():
@@ -144,6 +151,15 @@ def test_rooms_witness_quadratic_bound_sweep():
         assert w["tail_measure"] >= s
         k = w["k"]
         assert math.pi * 4.0 ** -(k + 1) <= s < math.pi * 4.0**-k
+    # down to four decades below the bracket top, against the bound
+    # evaluated with 50-digit pi so float rounding cannot flip the sign
+    s_hi = math.pi * 2.0**-4
+    with mpmath.workdps(50):
+        for s in np.geomspace(s_hi * 1e-4, s_hi * (1.0 - 1e-9), 50):
+            w = rooms_passages_witness(float(s), kmax=24)
+            bound = 256 * mpmath.mpf(float(s)) ** 2 / mpmath.pi**2
+            assert mpmath.mpf(w["perimeter"]) <= bound
+            assert w["tail_measure"] >= s
 
 
 def test_rooms_witness_validation():
@@ -173,6 +189,19 @@ def test_superadditivity_random_rectangles(sky3_g6):
         assert lhs >= rhs
         strict_seen = strict_seen or lhs > rhs
     assert strict_seen
+    # rectangles alternating with random masks
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        if trial % 2 == 0:
+            i0, i1 = np.sort(rng.integers(0, ni + 1, size=2))
+            j0, j1 = np.sort(rng.integers(0, nj + 1, size=2))
+            mask = np.zeros_like(sky3_g6.occupancy)
+            mask[i0:i1, j0:j1] = True
+        else:
+            mask = rng.random(sky3_g6.occupancy.shape) < rng.uniform(0.1, 0.9)
+        mask &= sky3_g6.occupancy
+        lhs, rhs = superadditivity_check(GridSet(sky3_g6, mask))
+        assert lhs >= rhs
 
 
 def test_superadditivity_strict_across_interface(sky3_g6):
@@ -243,6 +272,21 @@ def test_profile_search_skyscrapers(sky3_g6):
     pt = profile_search(sky3_g6, 0.5)
     assert pt.witness_perimeter >= bound - 4.0 * sky3_g6.h
     assert pt.witness_perimeter <= 1.0 + 1e-9  # left vertical strip
+    for s in (0.25, 1.0):
+        bound = skyscraper_profile_bound(s, sky3_g6.domain)
+        assert profile_search(sky3_g6, s).witness_perimeter >= bound - 4.0 * sky3_g6.h
+
+
+def test_profile_search_meets_rectangle_profile():
+    t0 = time.monotonic()
+    h = 2.0**-8
+    for a in (0.8, 0.5, 0.25):
+        gd = rasterize(rectangle(a), h)
+        for s in (a * a / (2.0 * math.pi), a * a / math.pi, a / 4.0, a / 2.0):
+            psi = rectangle_profile(a, s).witness_perimeter
+            found = profile_search(gd, s).witness_perimeter
+            assert abs(found - psi) <= 4.0 * h
+    assert time.monotonic() - t0 < 300.0
 
 
 def test_profile_search_rooms_tail_cut():

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sobtrace
 from sobtrace.domains import gallery, rasterize
 from sobtrace.lorentz import (
     AC_CONSISTENT,
@@ -43,6 +48,33 @@ def random_sample(rng, max_size=40):
     return SampledFunction(
         values=rng.exponential(1.0, m), measures=rng.uniform(1e-4, 2.0, m)
     )
+
+
+def lognormal_battery():
+    """The seeded lognormal draws: 1000 (f, p, q) form cases, then 1000
+    (f, p, q, r) embedding cases with q <= p, from one rng(19) stream."""
+    rng = np.random.default_rng(19)
+
+    def sample():
+        m = int(rng.integers(1, 25))
+        vals = np.abs(rng.lognormal(0.0, 1.2, size=m))
+        meas = rng.uniform(1e-3, 2.0, size=m)
+        return SampledFunction(values=vals, measures=meas)
+
+    forms = []
+    for _ in range(1000):
+        f = sample()
+        p = float(rng.uniform(1.0, 5.0))
+        q = math.inf if rng.random() < 0.25 else float(rng.uniform(1.0, 8.0))
+        forms.append((f, p, q))
+    embeddings = []
+    for _ in range(1000):
+        f = sample()
+        p = float(rng.uniform(1.0, 5.0))
+        q = float(rng.uniform(1.0, p))
+        r = math.inf if rng.random() < 0.25 else float(rng.uniform(q, 9.0))
+        embeddings.append((f, p, q, r))
+    return forms, embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +116,10 @@ def test_form_equivalence_battery():
         b = lorentz_quasinorm_distribution(f, (p, q))
         worst = max(worst, abs(a - b) / max(a, b, 1e-300))
     assert worst <= 1e-10
+    for f, p, q in lognormal_battery()[0]:
+        a = lorentz_quasinorm(f, (p, q))
+        b = lorentz_quasinorm_distribution(f, (p, q))
+        assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 
 @given(
@@ -160,6 +196,10 @@ def test_embedding_inequality_in_its_regime():
         lhs = lorentz_quasinorm(f, (p, r))
         rhs = embedding_constant(p, q, r) * lorentz_quasinorm(f, (p, q))
         assert lhs <= rhs * (1.0 + 1e-12)
+    for f, p, q, r in lognormal_battery()[1]:
+        lhs = lorentz_quasinorm(f, (p, r))
+        rhs = embedding_constant(p, q, r) * lorentz_quasinorm(f, (p, q))
+        assert lhs <= rhs * (1.0 + 1e-9)
 
 
 def test_embedding_flipped_constant_fails_for_q_above_p():
@@ -241,6 +281,9 @@ def test_model_weak_norm_cube_and_ball():
         model_weak_norm(bm, p=1.0, xi_lo=1.0), math.pi / 4.0, rel_tol=1e-9
     )
     assert math.isclose(weak_norm_tail(bm, xi_floor=1.0), math.pi / 4.0, rel_tol=1e-9)
+    for n in (1, 3):
+        analytic = model_weak_norm(gallery(f"cube{n}").ratio_models["inv_d"])
+        assert abs(analytic - 2.0 * n) <= 1e-10 * 2.0 * n
 
 
 def test_weak_tail_extrapolation_recovers_polynomials():
@@ -253,6 +296,33 @@ def test_weak_tail_extrapolation_recovers_polynomials():
     assert math.isclose(val, 2.0, rel_tol=1e-9)
     with pytest.raises(ValueError):
         weak_tail_extrapolate(model, [8.0], degree=1)
+    for bad in (0.0, -8.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            weak_tail_extrapolate(model, [bad, 16.0], degree=1)
+
+
+_HUGE_PROBES = """
+from sobtrace.lorentz import weak_tail_extrapolate
+from sobtrace.rearrangement import SampledFunction
+
+def fit(c):
+    f = SampledFunction([1e130 * c, 1.0 * c], [1.0, 1.0])
+    return weak_tail_extrapolate(f, [5e129 * c, 2.5e129 * c, 1.25e129 * c], 2)
+
+print(repr(fit(1.0)), repr(2.0**400 * fit(2.0**-400)))
+"""
+
+
+def test_weak_tail_extrapolation_on_huge_probes():
+    # 1/xi near 1e-130 once made the fit's column scaling underflow and
+    # LAPACK spin; a fresh interpreter with a timeout fails instead of hanging
+    src = str(Path(sobtrace.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _HUGE_PROBES], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    big, scaled = (float(x) for x in run.stdout.split())
+    assert math.isfinite(big)
+    assert big == scaled
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +354,11 @@ def test_ac_ball_model_consistent():
     assert rep.limit_at_infinity_estimate < 1e-3
 
 
-def test_ac_sampled_cube_grid_violated(cube2_g7):
-    rep = ac_diagnostic(ratio_field(constant_function(cube2_g7)), p=1.0)
-    assert rep.verdict == AC_VIOLATED_AT_INFINITY
-    assert abs(rep.limit_at_infinity_estimate - 4.0) <= 0.2
+def test_ac_sampled_cube_grid_violated(cube2_g7, cube2_g8):
+    for gd in (cube2_g7, cube2_g8):
+        rep = ac_diagnostic(ratio_field(constant_function(gd)), p=1.0)
+        assert rep.verdict == AC_VIOLATED_AT_INFINITY
+        assert abs(rep.limit_at_infinity_estimate - 4.0) <= 0.2
 
 
 def test_ac_cap_truncation_blocks_consistent_verdict():
@@ -422,6 +493,10 @@ def test_partial_integrals_grow_toward_zero():
     vals = sierpinski_partial_integrals(1.0, 1.0, [1e-4, 1e-8, 1e-12])
     assert vals[0] > 0
     assert vals[0] < vals[1] < vals[2]
+    for p in (1.0, 2.0):
+        for q in (1.0, 2.0, 4.0, 8.0):
+            vals = sierpinski_partial_integrals(p, q, [1e-4, 1e-8, 1e-12])
+            assert vals[0] < vals[1] < vals[2]
     with pytest.raises(ValueError):
         sierpinski_partial_integrals(1.0, 1.0, [0.5])  # eps must sit below K
 

@@ -1,6 +1,7 @@
 """Unit tests for measure-weighted samples and their rearrangements."""
 
 import math
+import time
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobtrace.lorentz import INF, lorentz_quasinorm, lorentz_quasinorm_distribution
 from sobtrace.rearrangement import (
     SampledFunction,
     StepRearrangement,
@@ -66,6 +68,20 @@ def test_level_measure_matches_distribution():
         for xi in (np.nextafter(level, -math.inf), level, np.nextafter(level, math.inf)):
             if xi >= 0:
                 assert r.level_measure(xi) == distribution(f, xi)
+
+
+def test_steps_lost_in_the_running_sum_are_dropped():
+    # 2^60 + 1 rounds to 2^60, so the level-1 step has no width
+    f = SampledFunction([2.0, 1.0], [2.0**60, 1.0])
+    r = rearrange(f)
+    assert r.levels.tolist() == [2.0]
+    assert r.breakpoints.tolist() == [0.0, 2.0**60]
+    assert r.total_measure == f.total_measure
+    for xi in (0.5, 1.5):
+        assert r.level_measure(xi) == distribution(f, xi)
+    for idx in ((1, 1), (2, 3), (2, INF)):
+        assert math.isfinite(lorentz_quasinorm(f, idx))
+        assert math.isfinite(lorentz_quasinorm_distribution(f, idx))
 
 
 def test_tied_values_merge_into_one_step():
@@ -213,7 +229,58 @@ def test_csv_header_is_checked():
 
 
 # ---------------------------------------------------------------------------
-# property tests
+# seeded battery and property tests
+
+
+def test_seeded_invariant_battery():
+    # equimeasurability against a direct sum, monotonicity, homogeneity and
+    # the infimum formula, 1000 draws each from one rng(31) stream
+    t0 = time.monotonic()
+    rng = np.random.default_rng(31)
+
+    def random_sample():
+        m = int(rng.integers(1, 12))
+        if rng.random() < 0.3:
+            vals = rng.integers(0, 5, size=m) / 2.0  # force ties
+        else:
+            vals = rng.uniform(0.0, 50.0, size=m)
+        meas = rng.uniform(1e-6, 10.0, size=m)
+        return SampledFunction(values=np.asarray(vals, dtype=float),
+                               measures=meas)
+
+    for _ in range(1000):
+        f = random_sample()
+        r = rearrange(f)
+        xi = float(rng.uniform(0.0, 55.0))
+        direct = float(np.sum(f.measures[np.asarray(f.values) > xi]))
+        assert math.isclose(r.level_measure(xi), direct,
+                            rel_tol=1e-12, abs_tol=1e-15)
+
+    for _ in range(1000):
+        f = random_sample()
+        r = rearrange(f)
+        ts = np.sort(rng.uniform(0.0, r.total_measure * (1 - 1e-9), size=4))
+        vals = [r(t) for t in ts]
+        assert all(x >= y for x, y in zip(vals, vals[1:]))
+
+    for _ in range(1000):
+        f = random_sample()
+        c = float(rng.uniform(0.1, 10.0))
+        g = SampledFunction(values=c * np.asarray(f.values),
+                            measures=f.measures)
+        rf, rg = rearrange(f), rearrange(g)
+        t = float(rng.uniform(0.0, rf.total_measure * (1 - 1e-9)))
+        assert math.isclose(rg(t), c * rf(t), rel_tol=1e-11, abs_tol=1e-15)
+
+    for _ in range(1000):
+        f = random_sample()
+        r = rearrange(f)
+        t = float(rng.uniform(0.0, r.total_measure * (1 - 1e-9)))
+        feasible = [xi for xi in list(r.levels) + [0.0]
+                    if r.level_measure(xi) <= t]
+        assert r(t) == min(feasible)
+
+    assert time.monotonic() - t0 < 60.0
 
 sample_sets = st.lists(
     st.tuples(

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sobtrace import lorentz, traces
 from sobtrace.domains import gallery, rasterize
-from sobtrace.lorentz import AC_VIOLATED_AT_INFINITY
+from sobtrace.lorentz import AC_VIOLATED_AT_INFINITY, lorentz_quasinorm
 from sobtrace.rearrangement import rearrange
 from sobtrace.traces import (
     CONSISTENT_WITH_ZERO_TRACE,
@@ -120,7 +121,31 @@ def test_ratio_field_needs_positive_distance(cube2_g6):
         ratio_field(constant_function(broken))
 
 
-def test_weak_norm_recovers_cube_values(cube2_g7):
+def test_ratio_field_distribution_closed_forms(cube2_g8, pball2_g9):
+    # 1/d on the unit square: xi mu(xi) = xi (1 - (1 - 2/xi)^2)
+    r = rearrange(ratio_field(constant_function(cube2_g8)))
+    for xi in (4.0, 8.0, 16.0, 32.0):
+        closed = xi * (1.0 - (1.0 - 2.0 / xi) ** 2)
+        assert abs(xi * r.level_measure(xi) - closed) <= 0.01 * closed
+    # (1 - |x|)/d on the punctured disc: mu(xi) = pi / (xi + 1)^2
+    u = sample_function(pball2_g9,
+                        lambda c: 1.0 - np.sqrt((c**2).sum(axis=-1)), "1-r")
+    f = ratio_field(u)
+    r = rearrange(f)
+    for xi in (1.0, 2.0, 4.0, 8.0):
+        closed = math.pi / (xi + 1.0) ** 2
+        assert abs(r.level_measure(xi) - closed) <= 0.01 * closed
+    # the tail part of the quotient stays summable: sup_{xi >= 1} xi mu(xi)
+    # equals pi/4, far under the pi/2 ceiling; the full weak norm is pi
+    tail = max(float(xi) * r.level_measure(float(xi))
+               for xi in np.geomspace(1.0, f.value_cap, 512))
+    assert tail <= (math.pi / 2.0) * 1.01
+    full = lorentz_quasinorm(f, (1.0, math.inf))
+    assert abs(full - math.pi) <= 0.01 * math.pi
+
+
+def test_weak_norm_recovers_cube_values(cube2_g7, cube2_g8, cube3_g6):
+    t0 = time.monotonic()
     est = weak_norm_estimate(constant_function(cube2_g7))
     assert math.isclose(est.estimate, 4.0, rel_tol=1e-9)
     assert est.extrapolated is not None
@@ -130,6 +155,10 @@ def test_weak_norm_recovers_cube_values(cube2_g7):
     gd3 = rasterize(gallery("cube3"), 2.0**-5)
     assert math.isclose(weak_norm_estimate(constant_function(gd3)).estimate,
                         6.0, rel_tol=1e-9)
+    for n, gd in ((2, cube2_g8), (3, cube3_g6)):
+        sampled = weak_norm_estimate(constant_function(gd)).estimate
+        assert abs(sampled - 2.0 * n) <= 0.02 * 2.0 * n
+    assert time.monotonic() - t0 < 60.0
 
 
 def test_weak_norm_without_boundary_layer(cube2_g7_d):
@@ -182,11 +211,19 @@ def test_distance_truncation_collar(cube2_g8):
 
 def test_distance_truncation_residual_bound(cube2_g8):
     d = distance_function(cube2_g8)
-    for p in (1.0, 2.0):
+    for p in (1.0, 2.0, 4.0):
         for eta in (0.2, 0.1, 0.05):
-            trunc, _ = distance_truncation(d, eta)
+            trunc, report = distance_truncation(d, eta)
             resid = GridFunction(cube2_g8, d.values - trunc.values, "resid")
-            assert sobolev_norm(resid, p).lp <= eta * 1.0 ** (1.0 / p) + 1e-12
+            assert sobolev_norm(resid, p).lp <= eta * 1.0 ** (1.0 / p)
+            # collar snapping quantizes the grid measure by O(h)
+            assert abs(report["removed_measure_grid"]
+                       - report["removed_measure_exact"]) <= 4.0 * cube2_g8.h
+    # the p=1 residual also matches its closed form 2 eta^2 - (8/3) eta^3
+    trunc, _ = distance_truncation(d, 0.2)
+    resid = GridFunction(cube2_g8, d.values - trunc.values, "resid")
+    closed = 2.0 * 0.2**2 - (8.0 / 3.0) * 0.2**3
+    assert math.isclose(sobolev_norm(resid, 1.0).lp, closed, rel_tol=1e-2)
 
 
 def test_scheme_zero_residuals_for_distance(cube2_g8):
@@ -200,6 +237,16 @@ def test_scheme_consistent_for_subcritical_multiple(cube2_g8):
     rep = approximation_scheme(u, 2.0)
     assert rep.verdict == CONSISTENT_WITH_ZERO_TRACE
     assert rep.rows[-1][1] == 0.0
+    # a variable multiple (1 + 0.9 x) d: the excess dies out over the k ladder
+    phi_d = sample_function(
+        cube2_g8,
+        lambda c: (1.0 + 0.9 * c[..., 0]) * cube2_g8.distance_field, "phi*d")
+    rep = approximation_scheme(phi_d, 2.0)
+    assert rep.verdict == CONSISTENT_WITH_ZERO_TRACE
+    rows = rep.rows
+    assert rows[0][0] == 1.0 and rows[-1][0] == 1024.0
+    assert rows[0][3] > 0.0
+    assert rows[-1][3] <= rows[0][3] / 100.0
 
 
 def test_scheme_flags_constant(cube2_g8):
@@ -383,6 +430,45 @@ def test_oned_sup_bounds_random_battery():
             rep = oned_zero_trace(u, a, b, p, du=du)
             assert rep.sup <= rep.two_term_bound * (1 + 1e-9)
             assert rep.sup <= rep.collapsed_bound * (1 + 1e-9)
+
+
+def test_oned_endpoint_classification_battery():
+    # sine sums that vanish at both ends, plus a nonzero affine part that
+    # keeps the left end, the right end, or both
+    rng = np.random.default_rng(23)
+    for i in range(100):
+        a = float(rng.uniform(-2.0, 2.0))
+        L = float(rng.choice([0.5, 1.0, 2.0]))
+        c1, c2 = (rng.uniform(0.3, 1.0, size=2)
+                  * rng.choice([-1.0, 1.0], size=2))
+        if i < 50:
+            c0, mode = 0.0, "none"
+            expect = (True, True)
+        else:
+            c0 = float(rng.uniform(0.1, 0.5) * rng.choice([-1.0, 1.0]))
+            mode = ["left", "right", "both"][i % 3]
+            expect = {"left": (False, True), "right": (True, False),
+                      "both": (False, False)}[mode]
+
+        def u(x, a=a, L=L, c1=c1, c2=c2, c0=c0, mode=mode):
+            t = (np.asarray(x, dtype=float) - a) / L
+            off = {"none": 0.0, "left": c0 * (1.0 - t), "right": c0 * t,
+                   "both": c0}[mode]
+            return c1 * np.sin(math.pi * t) + c2 * np.sin(2.0 * math.pi * t) + off
+
+        def du(x, a=a, L=L, c1=c1, c2=c2, c0=c0, mode=mode):
+            t = (np.asarray(x, dtype=float) - a) / L
+            slope = {"none": 0.0, "left": -c0 / L, "right": c0 / L,
+                     "both": 0.0}[mode]
+            return (c1 * math.pi * np.cos(math.pi * t)
+                    + c2 * 2.0 * math.pi * np.cos(2.0 * math.pi * t)) / L + slope
+
+        for p in (1.0, 2.0, 4.0):
+            rep = oned_zero_trace(u, a, a + L, p, du=du)
+            assert rep.endpoints_zero == expect
+            assert rep.member == (expect == (True, True))
+            assert rep.sup <= rep.two_term_bound * (1.0 + 1e-9)
+            assert rep.sup <= rep.collapsed_bound * (1.0 + 1e-9)
 
 
 def test_oned_validation():
