@@ -898,9 +898,10 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
     (M, N) array, and the distance field is 0 at the other cells.  The
     grid's notes say when the domain's thinnest feature falls below 2h
     (such features cannot hold any cell center reliably).  Raises
-    ValueError for a non-finite or non-positive h, a grid of more than
-    ``_MAX_CELLS`` cells (before allocating it), a domain with no exact
-    distance oracle, or a grid with no cell center inside the domain.
+    ValueError for a non-finite or non-positive h, an h above the smallest
+    bounding-box side, a grid of more than ``_MAX_CELLS`` cells (before
+    allocating it), a domain with no exact distance oracle, or a grid with
+    no cell center inside the domain.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
@@ -908,6 +909,8 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
         raise ValueError("domain has no exact distance oracle: give it "
                          "distance_fn or boundary primitives")
     sides = dom.bbox[:, 1] - dom.bbox[:, 0]
+    if h > sides.min():
+        raise ValueError(f"h = {h:g} exceeds the smallest bbox side {sides.min():g}")
     counts = _cell_counts(sides, h)
     cells = math.prod(counts)
     if cells > _MAX_CELLS:
@@ -1032,8 +1035,6 @@ def _is_violating(rows, b_threshold: float) -> bool:
 
 def ball_portion_scan(
     dom: Domain,
-    boundary_samples=None,
-    radii=None,
     b_threshold: float = 0.01,
     mc_samples: int = 20000,
     seed: int = 0,
@@ -1041,23 +1042,18 @@ def ball_portion_scan(
     """Probe the uniform outer ball-portion property along the boundary.
 
     Registered violating candidates (shrinking radius sequences) are probed
-    first; then each boundary sample point over its radius ladder.  A
-    sequence whose ratios trend down below b_threshold yields the verdict
-    VIOLATED_SEQUENCE_FOUND; otherwise PLAUSIBLY_SATISFIED with the probe
-    infimum.
+    first; then each registered boundary probe ``dom.boundary_probes``
+    over its radius ladder.  A sequence whose ratios trend down below
+    b_threshold yields the verdict VIOLATED_SEQUENCE_FOUND; otherwise
+    PLAUSIBLY_SATISFIED with the probe infimum.
     """
     if b_threshold <= 0:
         raise ValueError("b_threshold must be positive")
     groups = []
     for seq in dom.violation_candidates:
         groups.append([(np.asarray(p, dtype=float), float(r)) for p, r in seq])
-    if boundary_samples is not None:
-        rad = tuple(radii) if radii is not None else (2.0**-4, 2.0**-5, 2.0**-6)
-        for p in boundary_samples:
-            groups.append([(np.asarray(p, dtype=float), float(r)) for r in rad])
-    else:
-        for p, rad in dom.boundary_probes:
-            groups.append([(np.asarray(p, dtype=float), float(r)) for r in rad])
+    for p, rad in dom.boundary_probes:
+        groups.append([(np.asarray(p, dtype=float), float(r)) for r in rad])
     if not groups:
         raise ValueError("no probes: domain has no registered boundary probes")
 
@@ -1085,9 +1081,8 @@ def ball_portion_scan(
 # SVG line art
 
 
-def render_svg(dom: Domain, width_px: int = 640, witness: np.ndarray | None = None,
-               gd: GridDomain | None = None) -> str:
-    """Line-art rendering of a 2-D domain boundary, optional witness overlay."""
+def render_svg(dom: Domain, width_px: int = 640) -> str:
+    """Line-art rendering of a 2-D domain boundary, captioned with its tag."""
     if dom.dimension != 2 or not dom.boundary:
         raise ValueError("SVG rendering needs a 2-D domain with boundary primitives")
     (x0, x1), (y0, y1) = dom.bbox
@@ -1108,32 +1103,6 @@ def render_svg(dom: Domain, width_px: int = 640, witness: np.ndarray | None = No
         f'height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
         f'<rect width="{width_px}" height="{height_px}" fill="white"/>',
     ]
-    if witness is not None and gd is not None:
-        axes = gd.center_axes()
-        half = 0.5 * gd.h
-        idx = np.argwhere(witness)
-        # one rect per run of consecutive cells along the last axis
-        runs = []
-        if len(idx):
-            start = idx[0]
-            prev = idx[0]
-            for cur in idx[1:]:
-                if cur[0] == prev[0] and cur[1] == prev[1] + 1:
-                    prev = cur
-                    continue
-                runs.append((start, prev))
-                start = cur
-                prev = cur
-            runs.append((start, prev))
-        for s, e in runs:
-            cx0 = axes[0][s[0]] - half
-            cy0 = axes[1][s[1]] - half
-            cy1 = axes[1][e[1]] + half
-            parts.append(
-                f'<rect x="{X(cx0):.6g}" y="{Y(cy1):.6g}" '
-                f'width="{gd.h * scale:.6g}" height="{(cy1 - cy0) * scale:.6g}" '
-                f'fill="#9ecbff" stroke="none"/>'
-            )
     for prim in dom.boundary:
         if prim[0] == "segment":
             (ax_, ay_), (bx_, by_) = prim[1], prim[2]

@@ -61,25 +61,29 @@ def _face_count(mask: np.ndarray, inside: np.ndarray) -> int:
     return total
 
 
+def _perimeter(gd: GridDomain, faces: int) -> float:
+    """A face count weighted by the face measure h^(N-1)."""
+    return faces * gd.h ** (gd.domain.dimension - 1)
+
+
 def grid_perimeter(E: GridSet) -> float:
     """Relative perimeter of E inside its grid domain."""
-    gd = E.parent
-    n = gd.domain.dimension
-    return _face_count(E.mask, gd.occupancy) * gd.h ** (n - 1)
+    return _perimeter(E.parent, _face_count(E.mask, E.parent.occupancy))
 
 
-def superadditivity_check(E: GridSet, parts=None) -> tuple[float, float]:
+def superadditivity_check(E: GridSet) -> tuple[float, float]:
     """Compare P(E; Omega) with the sum of P(E & part; part) over a partition.
 
-    Every face counted on the right separates two cells of one part, hence
-    is also counted on the left; the comparison is exact integer counting
-    scaled by h^(N-1), so lhs >= rhs holds with no tolerance.
+    The parts come from the domain's ``partition`` hook; they must not
+    overlap, must stay inside the domain and must cover it.  Every face
+    counted on the right separates two cells of one part, hence is also
+    counted on the left; the comparison is exact integer counting scaled by
+    h^(N-1), so lhs >= rhs holds with no tolerance.
     """
     gd = E.parent
-    if parts is None:
-        if gd.domain.partition is None:
-            raise ValueError("domain has no registered partition")
-        parts = gd.domain.partition(gd)
+    if gd.domain.partition is None:
+        raise ValueError("domain has no registered partition")
+    parts = gd.domain.partition(gd)
     covered = np.zeros_like(gd.occupancy)
     for p in parts:
         if np.any(p & covered):
@@ -89,9 +93,8 @@ def superadditivity_check(E: GridSet, parts=None) -> tuple[float, float]:
         covered |= p
     if not np.array_equal(covered, gd.occupancy):
         raise ValueError("parts do not cover the domain")
-    n = gd.domain.dimension
-    lhs = _face_count(E.mask, gd.occupancy) * gd.h ** (n - 1)
-    rhs = sum(_face_count(E.mask & p, p) for p in parts) * gd.h ** (n - 1)
+    lhs = _perimeter(gd, _face_count(E.mask, gd.occupancy))
+    rhs = _perimeter(gd, sum(_face_count(E.mask & p, p) for p in parts))
     return float(lhs), float(rhs)
 
 
@@ -131,12 +134,15 @@ def rectangle_profile(a: float, s: float) -> RectangleProfile:
     )
 
 
-def skyscraper_profile_bound(s: float, dom: Domain | None = None) -> float:
-    """Lower bound s / sqrt(2) for the tower domain's profile."""
-    measure = dom.measure if dom is not None else 2.125
-    if not 0 < s <= measure / 2.0:
+def skyscraper_profile_bound(s: float, dom: Domain) -> float:
+    """Lower bound for the profile of the tower domain dom at measure s.
+
+    The bound is the domain's ``profile_lower_bound``, s / sqrt(2) for
+    ``skyscrapers``; s must lie in (0, half the measure of dom].
+    """
+    if not 0 < s <= dom.measure / 2.0:
         raise ValueError("need 0 < s <= half the domain measure")
-    return s / math.sqrt(2.0)
+    return dom.profile_lower_bound(s)
 
 
 def rooms_passages_witness(s: float, kmax: int = 16) -> dict:
@@ -266,8 +272,8 @@ def _local_search(gd: GridDomain, mask: np.ndarray, s: float, budget: int,
     cur = best.copy()
     cur_faces = best_faces
     for _ in range(budget):
-        boundary_in = np.argwhere(cur & _touches(~cur & occ, cur))
-        boundary_out = np.argwhere((occ & ~cur) & _touches(cur, occ & ~cur))
+        boundary_in = np.argwhere(_touches(~cur & occ, cur))
+        boundary_out = np.argwhere(_touches(cur, occ & ~cur))
         moves = []
         if cur.sum() > need and len(boundary_in):
             moves.append(("drop", boundary_in))
@@ -313,7 +319,6 @@ def profile_search(gd: GridDomain, s: float, budget: int = 0,
     lam = gd.grid_measure
     if not 0 < s < lam:
         raise ValueError(f"need 0 < s < grid measure {lam:g}")
-    n = dom.dimension
     candidates = []
     for mask, analytic, info in _strip_candidates(gd, s):
         candidates.append((mask, analytic, info))
@@ -339,7 +344,7 @@ def profile_search(gd: GridDomain, s: float, budget: int = 0,
             continue
         if mask is None or not mask.any():
             continue
-        per = _face_count(mask, gd.occupancy) * gd.h ** (n - 1)
+        per = _perimeter(gd, _face_count(mask, gd.occupancy))
         if per == 0.0:
             notes.append(f"degenerate zero-perimeter candidate skipped: {info}")
             continue
@@ -352,7 +357,7 @@ def profile_search(gd: GridDomain, s: float, budget: int = 0,
         if grid_only:
             per0, mask0, info0, _ = min(grid_only, key=lambda c: c[0])
             refined = _local_search(gd, mask0, s, budget, seed)
-            per = _face_count(refined, gd.occupancy) * gd.h ** (n - 1)
+            per = _perimeter(gd, _face_count(refined, gd.occupancy))
             if 0.0 < per <= per0:
                 scored.append((per, refined,
                                {"kind": "local_search", "start": info0["kind"]}, False))

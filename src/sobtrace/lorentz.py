@@ -24,7 +24,7 @@ xi = 1, and a model may supply its own infinity ladder through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -489,59 +489,54 @@ def ac_diagnostic(f, p: float) -> ACReport:
 # ---------------------------------------------------------------------------
 # the slowly-varying strictness counterexample
 #
-# h(t) = t^{-1/p} / loglog(1/t) on (0, K), K = min(total, exp(-e^p)):
-# the weak tail t^{1/p} h(t) = 1/loglog(1/t) vanishes, yet every L^{p,q}
-# integral with q < inf diverges at 0.
+# h(t) = t^{-1/p} / loglog(1/t) on (0, K), K = exp(-e^p), inside a measure
+# space of unit measure: the weak tail t^{1/p} h(t) = 1/loglog(1/t)
+# vanishes, yet every L^{p,q} integral with q < inf diverges at 0.
+
+# the sampled counterexample has this many geometric cells, spanning this
+# many decades below K
+_SIERPINSKI_CELLS = 400
+_SIERPINSKI_DECADES = 200.0
 
 
-def sierpinski_threshold(p: float, total_measure: float = 1.0) -> float:
-    """Right endpoint K = min(total, exp(-e^p)) of the counterexample."""
+def sierpinski_threshold(p: float) -> float:
+    """Right endpoint K = exp(-e^p) of the counterexample (K < 1 for p >= 1)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if total_measure <= 0:
-        raise ValueError("total_measure must be positive")
-    return min(total_measure, math.exp(-math.exp(p)))
+    return math.exp(-math.exp(p))
 
 
 def _h_value(t: float, p: float) -> float:
     return t ** (-1.0 / p) / math.log(math.log(1.0 / t))
 
 
-def sierpinski_counterexample(
-    p: float, total_measure: float = 1.0, n_cells: int = 400
-) -> SampledFunction:
+def sierpinski_counterexample(p: float) -> SampledFunction:
     """Geometric-grid sampling of the counterexample near t = 0.
 
-    Cells shrink geometrically from K down to K * 10^{-decades} with
-    decades capped so values stay in float range; mass below the last cell
-    is truncated (the function is unbounded).  A zero-value tail pads the
-    measure space to total_measure.
+    400 cells shrink geometrically from K down to K * 10^{-200}; mass below
+    the last cell is truncated (the function is unbounded).  A zero-value
+    tail of measure 1 - K pads the measure space to unit measure.
     """
-    if n_cells < 8:
-        raise ValueError("n_cells must be at least 8")
-    K = sierpinski_threshold(p, total_measure)
-    decades = min(280.0 * p, max(8.0, n_cells / 2.0))
-    edges = K * 10.0 ** (-decades * np.arange(n_cells + 1) / n_cells)
+    K = sierpinski_threshold(p)
+    n = _SIERPINSKI_CELLS
+    edges = K * 10.0 ** (-_SIERPINSKI_DECADES * np.arange(n + 1) / n)
     # geometric means; the plain product of neighboring edges can underflow
     mids = np.sqrt(edges[:-1]) * np.sqrt(edges[1:])
-    values = np.array([_h_value(t, p) for t in mids])
-    measures = edges[:-1] - edges[1:]
-    if total_measure > K:
-        values = np.append(values, 0.0)
-        measures = np.append(measures, total_measure - K)
+    values = np.array([_h_value(t, p) for t in mids] + [0.0])
+    measures = np.append(edges[:-1] - edges[1:], 1.0 - K)
     return SampledFunction(values=values, measures=measures,
                            label=f"slowly_varying_p{p:g}")
 
 
-def sierpinski_model(p: float, total_measure: float = 1.0) -> DistributionModel:
-    """Closed-form DistributionModel for the counterexample.
+def sierpinski_model(p: float) -> DistributionModel:
+    """Closed-form DistributionModel for the counterexample on unit measure.
 
     The infinity end is supplied as a dyadic ladder in the substitution
     coordinate y = loglog(1/t) (t = exp(-e^y) underflows long before the
     tail value 1/y reaches any threshold); along that curve
     xi mu(xi)^{1/p} = t^{1/p} h(t) = 1/y exactly.
     """
-    K = sierpinski_threshold(p, total_measure)
+    K = sierpinski_threshold(p)
     y_K = math.log(math.log(1.0 / K))
 
     def quantile(t: float) -> float:
@@ -573,7 +568,7 @@ def sierpinski_model(p: float, total_measure: float = 1.0) -> DistributionModel:
 
     return DistributionModel(
         mu=mu,
-        total_measure=total_measure,
+        total_measure=1.0,
         label=f"slowly_varying_p{p:g}",
         scale_hint=1.0 / y_K,
         quantile=quantile,

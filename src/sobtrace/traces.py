@@ -16,7 +16,7 @@ import numpy as np
 
 from .domains import TRUSTED_LAYER_CELLS, GridDomain, face_pairs
 from .lorentz import INCONCLUSIVE, ACReport, _weak_sup, ac_diagnostic, weak_tail_extrapolate
-from .rearrangement import SampledFunction, distribution, rearrange
+from .rearrangement import SampledFunction, rearrange
 from .report import Report, csv_text
 
 __all__ = [
@@ -241,6 +241,9 @@ def distance_truncation(u: GridFunction, eta: float) -> tuple[GridFunction, dict
 # this fraction of the first
 _SCHEME_THRESHOLD_RATIO = 1e-2
 
+# the truncation levels k of the scheme u -> min(u, k d): 1, 2, 4, ..., 1024
+_K_LADDER = tuple(float(2**j) for j in range(11))
+
 
 @dataclass(frozen=True)
 class DiagnosticReport(Report):
@@ -265,12 +268,11 @@ class DiagnosticReport(Report):
         return csv_text("k,res_w1p,measure_Ek,k_mu_pow,resolution_limited", self.rows)
 
 
-def approximation_scheme(
-    u: GridFunction,
-    p: float,
-    k_list=None,
-) -> DiagnosticReport:
+def approximation_scheme(u: GridFunction, p: float) -> DiagnosticReport:
     """Run the truncation scheme and classify the trace behavior.
+
+    The scheme truncates u -> min(u, k d) at the dyadic levels
+    k = 1, 2, 4, ..., 1024 and reports one row per level.
 
     Verdict: CONSISTENT if the final resolvable residual has dropped below
     1e-2 times the initial one (an all-zero residual column passes);
@@ -282,17 +284,12 @@ def approximation_scheme(
     gd = u.parent
     if np.any(u.values[gd.occupancy] < 0):
         raise ValueError("the scheme expects a nonnegative function")
-    if k_list is None:
-        k_list = [float(2**j) for j in range(11)]
-    k_list = sorted(float(k) for k in k_list)
-    if not k_list or k_list[0] <= 0:
-        raise ValueError("k_list must be positive")
     d = gd.distance_field
     occ = gd.occupancy
     k_resolve = 1.0 / (TRUSTED_LAYER_CELLS * gd.h)
     rows = []
     notes = []
-    for k in k_list:
+    for k in _K_LADDER:
         excess = np.where(occ, np.maximum(u.values - k * d, 0.0), 0.0)
         ek = occ & (u.values > k * d)
         mek = float(ek.sum()) * gd.cell_measure
@@ -417,6 +414,9 @@ def hardy_pointwise_check(u: GridFunction) -> dict:
 # ---------------------------------------------------------------------------
 # one-dimensional endpoint diagnostics
 
+# the norms and the sup are read on this many equal subintervals of (a, b)
+_ONED_SAMPLES = 8192
+
 
 @dataclass(frozen=True)
 class OneDTraceReport(Report):
@@ -454,9 +454,11 @@ def oned_zero_trace(
     b: float,
     p: float,
     du: Callable | None = None,
-    samples: int = 8192,
 ) -> OneDTraceReport:
     """Classify endpoint behavior of u on (a, b) and evaluate sup bounds.
+
+    The sup and the L^p norms of u and u' (du, or a finite-difference
+    gradient) are read on 8192 equal subintervals of (a, b).
 
     Membership in the zero-endpoint class is decided by extrapolating u
     along dyadic offsets at each end; an end reads zero when its estimate
@@ -471,7 +473,7 @@ def oned_zero_trace(
     if p < 1 or math.isinf(p):
         raise ValueError("p must be finite and >= 1")
     L = b - a
-    xs = np.linspace(a, b, samples + 1)
+    xs = np.linspace(a, b, _ONED_SAMPLES + 1)
     vals = np.asarray(u(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.array([float(u(x)) for x in xs])

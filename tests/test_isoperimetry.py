@@ -123,12 +123,12 @@ def test_rectangle_profile_bound_below_witness():
 
 
 def test_skyscraper_profile_bound():
-    assert math.isclose(skyscraper_profile_bound(1.0), 1.0 / math.sqrt(2.0),
-                        rel_tol=1e-15)
     dom = gallery("skyscrapers", kmax=3)
+    assert math.isclose(skyscraper_profile_bound(1.0, dom), 1.0 / math.sqrt(2.0),
+                        rel_tol=1e-15)
     assert skyscraper_profile_bound(1.05, dom) == 1.05 / math.sqrt(2.0)
     with pytest.raises(ValueError):
-        skyscraper_profile_bound(0.0)
+        skyscraper_profile_bound(0.0, dom)
     with pytest.raises(ValueError):
         skyscraper_profile_bound(1.1, dom)  # above half the truncated measure
 
@@ -221,14 +221,19 @@ def test_superadditivity_strict_across_interface(sky3_g6):
 
 
 def test_superadditivity_partition_validation(sky3_g6):
-    E = GridSet(sky3_g6, np.zeros_like(sky3_g6.occupancy))
     parts = sky3_g6.domain.partition(sky3_g6)
+
+    def with_partition(bad):
+        dom = dataclasses.replace(sky3_g6.domain, partition=lambda gd: bad)
+        gd = dataclasses.replace(sky3_g6, domain=dom)
+        return GridSet(gd, np.zeros_like(gd.occupancy))
+
     with pytest.raises(ValueError, match="overlap"):
-        superadditivity_check(E, parts=[sky3_g6.occupancy, parts[0]])
+        superadditivity_check(with_partition([sky3_g6.occupancy, parts[0]]))
     with pytest.raises(ValueError, match="cover"):
-        superadditivity_check(E, parts=parts[:-1])
+        superadditivity_check(with_partition(parts[:-1]))
     with pytest.raises(ValueError, match="leaves"):
-        superadditivity_check(E, parts=[np.ones_like(sky3_g6.occupancy)])
+        superadditivity_check(with_partition([np.ones_like(sky3_g6.occupancy)]))
 
 
 def test_superadditivity_needs_partition():

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobtrace
-from sobtrace.domains import gallery, rasterize
+from sobtrace.domains import gallery
 from sobtrace.lorentz import (
     AC_CONSISTENT,
     AC_VIOLATED_AT_INFINITY,
+    AC_VIOLATED_AT_ZERO,
     INCONCLUSIVE,
     INF,
     DistributionModel,
@@ -354,6 +355,17 @@ def test_ac_ball_model_consistent():
     assert rep.limit_at_infinity_estimate < 1e-3
 
 
+def test_ac_model_violated_at_zero():
+    # xi mu(xi) is 1 for every xi < 1 and 1/xi beyond: only the zero end fails
+    model = DistributionModel(mu=lambda xi: 1.0 / xi if xi < 1.0 else xi**-2.0,
+                              total_measure=math.inf)
+    rep = ac_diagnostic(model, p=1.0)
+    assert rep.verdict == AC_VIOLATED_AT_ZERO
+    assert rep.limit_at_zero_estimate == 1.0
+    assert rep.threshold == 1e-3
+    assert rep.limit_at_infinity_estimate < rep.threshold
+
+
 def test_ac_sampled_cube_grid_violated(cube2_g7, cube2_g8):
     for gd in (cube2_g7, cube2_g8):
         rep = ac_diagnostic(ratio_field(constant_function(gd)), p=1.0)
@@ -451,7 +463,6 @@ def test_threshold_value():
     assert math.isclose(
         sierpinski_threshold(1.0), math.exp(-math.e), abs_tol=1e-18
     )
-    assert sierpinski_threshold(1.0, total_measure=1e-3) == 1e-3
     with pytest.raises(ValueError):
         sierpinski_threshold(0.5)
 
@@ -473,13 +484,11 @@ def test_model_mu_inverts_the_quantile():
 
 
 def test_sampled_counterexample_is_valid_and_consistent():
-    f = sierpinski_counterexample(1.0, n_cells=400)
+    f = sierpinski_counterexample(1.0)
     assert math.isclose(f.total_measure, 1.0, rel_tol=1e-9)
     assert np.all(f.values >= 0)
     rep = ac_diagnostic(f, p=1.0)
     assert rep.verdict == AC_CONSISTENT
-    with pytest.raises(ValueError):
-        sierpinski_counterexample(1.0, n_cells=4)
 
 
 def test_model_ac_consistent_for_p1_and_p2():

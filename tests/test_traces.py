@@ -285,17 +285,17 @@ def test_scheme_resolution_flags(cube2_g6):
 
 
 def test_scheme_report_serialization(cube2_g6):
-    rep = approximation_scheme(constant_function(cube2_g6), 1.0,
-                               k_list=[1, 4, 16])
+    rep = approximation_scheme(constant_function(cube2_g6), 1.0)
+    assert [r[0] for r in rep.rows] == [2.0**j for j in range(11)]
     text = rep.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "k,res_w1p,measure_Ek,k_mu_pow,resolution_limited"
-    assert len(lines) == 4
+    assert len(lines) == 12
     payload = json.loads(rep.to_json())
     assert payload["verdict"] == rep.verdict
     assert payload["ac"]["verdict"] == rep.ac.verdict
     assert payload["sobolev"] == rep.sobolev._asdict()
-    assert len(payload["rows"]) == 3
+    assert len(payload["rows"]) == 11
 
 
 def test_scheme_builds_and_sorts_the_ratio_field_once(monkeypatch, cube2_g6):
@@ -325,10 +325,6 @@ def test_scheme_validation(cube2_g6):
     c = constant_function(cube2_g6)
     with pytest.raises(ValueError):
         approximation_scheme(c, math.inf)
-    with pytest.raises(ValueError):
-        approximation_scheme(c, 1.0, k_list=[])
-    with pytest.raises(ValueError):
-        approximation_scheme(c, 1.0, k_list=[-1.0, 2.0])
     neg = sample_function(cube2_g6, lambda x: x[..., 0] - 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         approximation_scheme(neg, 1.0)
