@@ -72,9 +72,14 @@ def skyscrapers_profile(seed):
     exact = abs(gd.grid_measure - dom.measure)
     found = isoperimetry.profile_search(gd, 0.5).witness_perimeter
     bound = isoperimetry.skyscraper_profile_bound(0.5, dom)
+    rng = np.random.default_rng(seed)
+    cells = isoperimetry.GridSet(gd, (rng.random(gd.occupancy.shape) < 0.5) & gd.occupancy)
+    lhs, rhs = isoperimetry.superadditivity_check(cells)
     return [("|grid measure - measure|", exact, "<=", 1e-12),
             ("s=0.5: perimeter vs profile bound", found, ">=", bound),
-            ("s=0.5: perimeter vs 1 + 4h", found, "<=", 1.0 + 4.0 * gd.h)]
+            ("s=0.5: perimeter vs 1 + 4h", found, "<=", 1.0 + 4.0 * gd.h),
+            ("random cell set: P(E) - sum of P(E & part; part) over base/towers",
+             lhs - rhs, ">=", 0.0)]
 
 
 def squares_stack_portion(seed):

@@ -138,8 +138,11 @@ def skyscraper_profile_bound(s: float, dom: Domain) -> float:
     """Lower bound for the profile of the tower domain dom at measure s.
 
     The bound is the domain's ``profile_lower_bound``, s / sqrt(2) for
-    ``skyscrapers``; s must lie in (0, half the measure of dom].
+    ``skyscrapers``; s must lie in (0, half the measure of dom].  A domain
+    without that bound raises ``ValueError``.
     """
+    if dom.profile_lower_bound is None:
+        raise ValueError(f"domain {dom.descriptor.get('tag')!r} has no profile_lower_bound")
     if not 0 < s <= dom.measure / 2.0:
         raise ValueError("need 0 < s <= half the domain measure")
     return dom.profile_lower_bound(s)
@@ -262,45 +265,138 @@ def _disc_candidate(gd: GridDomain, s: float):
     return mask, None, {"kind": "interior_ball", "center": c.tolist(), "radius": rho}
 
 
+class _MovePool:
+    """One move pool: a 0/1 membership array with a Fenwick tree over it.
+
+    ``select(k)`` returns the flat index of the k-th member in increasing
+    index order, which is the row-major order of ``np.argwhere``; it and
+    ``set`` take O(log n) steps (Fenwick 1994).
+    """
+
+    def __init__(self, member: np.ndarray):
+        n = member.size
+        # tree[i] sums member over (i - lowbit(i), i]: one prefix-sum pass
+        tree = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(member, out=tree[1:])
+        self.size = int(tree[-1])
+        low = np.arange(n + 1, dtype=np.int32)
+        low -= low & -low
+        tree -= tree[low]
+        self.tree = memoryview(tree)
+        self.member = bytearray(member)
+        self.n = n
+
+    def set(self, x: int, on: bool) -> None:
+        if self.member[x] == on:
+            return
+        self.member[x] = on
+        d = 1 if on else -1
+        self.size += d
+        tree, n, i = self.tree, self.n, x + 1
+        while i <= n:
+            tree[i] += d
+            i += i & -i
+
+    def select(self, k: int) -> int:
+        tree, n, pos = self.tree, self.n, 0
+        bit = 1 << (n.bit_length() - 1)
+        while bit:
+            nxt = pos + bit
+            if nxt <= n and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            bit >>= 1
+        return pos
+
+
 def _local_search(gd: GridDomain, mask: np.ndarray, s: float, budget: int,
                   seed: int) -> np.ndarray:
+    """Random single-cell flips from mask; returns the best feasible set.
+
+    Each step draws a move kind, then a cell of its pool: drop a cell of the
+    set that touches the rest of the domain (only while the set holds more
+    cells than s needs), or add a cell of the rest that touches the set.  A
+    feasible set with no more faces than the best becomes the best; one more
+    than 4 faces above it returns to the best.
+
+    A flip changes the face count, the neighbour counts and the pools only
+    at the cell and its 2N face neighbours.  The grid is padded by one
+    unoccupied cell on every side, so the neighbours of flat index x are
+    x +- stride, and the padding keeps the pools in row-major order.  The
+    flips since the last best form an undo log, replayed backwards to
+    return to it.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1505]))
     occ = gd.occupancy
     need = _cells_needed(gd, s)
-    best = mask.copy()
-    best_faces = _face_count(best, occ)
-    cur = best.copy()
-    cur_faces = best_faces
+    inner = (slice(1, -1),) * occ.ndim
+    grid = np.zeros(tuple(n + 2 for n in occ.shape), dtype=np.uint8)
+    body = grid[inner]  # 0 outside, 1 rest of the domain, 2 set
+    body[occ] = 1
+    body[mask] = 2
+    flat = grid.ravel()
+    strides = [st // grid.itemsize for st in grid.strides]
+    steps = strides + [-st for st in strides]
+    in_set, in_rest = flat == 2, flat == 1
+    # face neighbours in the set and in the rest; np.roll wraps only into
+    # the padding, which is in neither pool
+    near_set = np.zeros(flat.size, dtype=np.uint8)
+    near_rest = np.zeros(flat.size, dtype=np.uint8)
+    for d in steps:
+        near_set += np.roll(in_set, d)
+        near_rest += np.roll(in_rest, d)
+    drop = _MovePool(in_set & (near_rest > 0))
+    add = _MovePool(in_rest & (near_set > 0))
+    state, n_set, n_rest = bytearray(flat), bytearray(near_set), bytearray(near_rest)
+    cells = int(in_set.sum())
+
+    def flip(x: int) -> int:
+        """Flip cell x between the set and the rest; return the face change."""
+        nonlocal cells
+        if state[x] == 2:
+            state[x], d, dfaces = 1, -1, n_set[x] - n_rest[x]
+        else:
+            state[x], d, dfaces = 2, 1, n_rest[x] - n_set[x]
+        cells += d
+        drop.set(x, d > 0 and n_rest[x] > 0)
+        add.set(x, d < 0 and n_set[x] > 0)
+        for step in steps:
+            y = x + step
+            n_set[y] += d
+            n_rest[y] -= d
+            if state[y] == 2:
+                drop.set(y, n_rest[y] > 0)
+            elif state[y] == 1:
+                add.set(y, n_set[y] > 0)
+        return dfaces
+
+    def undo(log: list) -> None:
+        for x in reversed(log):
+            flip(x)
+        log.clear()
+
+    best_faces = faces = _face_count(mask, occ)
+    log = []
     for _ in range(budget):
-        boundary_in = np.argwhere(_touches(~cur & occ, cur))
-        boundary_out = np.argwhere(_touches(cur, occ & ~cur))
         moves = []
-        if cur.sum() > need and len(boundary_in):
-            moves.append(("drop", boundary_in))
-        if len(boundary_out):
-            moves.append(("add", boundary_out))
+        if cells > need and drop.size:
+            moves.append(drop)
+        if add.size:
+            moves.append(add)
         if not moves:
             break
-        kind, pool = moves[rng.integers(len(moves))]
-        idx = tuple(pool[rng.integers(len(pool))])
-        cur[idx] = kind == "add"
-        cur_faces = _face_count(cur, occ)
-        if cur_faces <= best_faces and cur.sum() >= need:
-            best = cur.copy()
-            best_faces = cur_faces
-        elif cur_faces > best_faces + 4:
-            cur = best.copy()
-            cur_faces = best_faces
-    return best
-
-
-def _touches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cells of b adjacent (face-wise) to at least one cell of a."""
-    out = np.zeros_like(b)
-    for lo, hi in face_pairs(a.ndim):
-        out[lo] |= a[hi]
-        out[hi] |= a[lo]
-    return out & b
+        pool = moves[rng.integers(len(moves))]
+        x = pool.select(int(rng.integers(pool.size)))
+        faces += flip(x)
+        log.append(x)
+        if faces <= best_faces and cells >= need:
+            best_faces = faces
+            log.clear()
+        elif faces > best_faces + 4:
+            undo(log)
+            faces = best_faces
+    undo(log)
+    return np.frombuffer(state, dtype=np.uint8).reshape(grid.shape)[inner] == 2
 
 
 def profile_search(gd: GridDomain, s: float, budget: int = 0,
@@ -309,12 +405,15 @@ def profile_search(gd: GridDomain, s: float, budget: int = 0,
 
     Candidates: axis-aligned strips, registered corner quarter-discs (with
     analytic perimeter), an interior ball when it fits, registered analytic
-    witnesses, and optionally a local flip search seeded from the best grid
-    candidate.  The reported value is the smallest perimeter over feasible
-    candidates (grid measure, or analytic measure for registered witnesses,
-    at least s).  If a grid candidate undercuts a registered analytic lower
+    witnesses, and, when the integer budget is positive, a local search of
+    at most that many single-cell flips seeded from the best grid candidate.
+    The reported value is the smallest perimeter over feasible candidates
+    (grid measure, or analytic measure for registered witnesses, at least
+    s).  If a grid candidate undercuts a registered analytic lower
     bound by more than 4h the search raises rather than reporting it.
     """
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ValueError(f"flip budget must be an integer >= 0, got {budget!r}")
     dom = gd.domain
     lam = gd.grid_measure
     if not 0 < s < lam:

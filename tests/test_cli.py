@@ -125,6 +125,12 @@ def test_profile_rectangle_needs_a(capsys):
     assert "--a" in capsys.readouterr().err
 
 
+def test_profile_rejects_a_negative_budget(capsys):
+    assert main(["profile", "--gallery", "rectangle", "--a", "0.5", "--s", "0.05",
+                 "--h", str(2.0**-6), "--budget", "-1"]) == 2
+    assert "budget must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     names = capsys.readouterr().out.split()

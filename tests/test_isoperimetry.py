@@ -1,6 +1,7 @@
 """Unit tests for grid perimeters, profile bounds, and the witness search."""
 
 import dataclasses
+import hashlib
 import math
 import time
 
@@ -8,7 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from sobtrace.domains import gallery, rasterize, rectangle
+from sobtrace import isoperimetry
+from sobtrace.domains import face_pairs, gallery, rasterize, rectangle
 from sobtrace.isoperimetry import (
     GridSet,
     grid_perimeter,
@@ -131,6 +133,11 @@ def test_skyscraper_profile_bound():
         skyscraper_profile_bound(0.0, dom)
     with pytest.raises(ValueError):
         skyscraper_profile_bound(1.1, dom)  # above half the truncated measure
+
+
+def test_skyscraper_profile_bound_needs_a_registered_bound():
+    with pytest.raises(ValueError, match="no profile_lower_bound"):
+        skyscraper_profile_bound(0.25, gallery("cube2"))
 
 
 def test_rooms_witness_bracket_edge():
@@ -310,8 +317,157 @@ def test_profile_search_validation(rect_g7):
         profile_search(rect_g7, rect_g7.grid_measure)
 
 
+@pytest.mark.parametrize("budget", [-5, 2.5, True, "300", None])
+def test_profile_search_rejects_a_bad_budget(rect_g7, budget):
+    with pytest.raises(ValueError, match=f"budget must be an integer >= 0, got {budget!r}"):
+        profile_search(rect_g7, 0.1, budget=budget)
+
+
+def test_profile_search_accepts_numpy_integer_budgets(rect_g7):
+    assert (profile_search(rect_g7, 0.1, budget=np.int64(50), seed=3)
+            == profile_search(rect_g7, 0.1, budget=50, seed=3))
+
+
 def test_profile_search_raises_on_undercut():
     dom = dataclasses.replace(rectangle(0.5), profile_lower_bound=lambda s: 10.0)
     gd = rasterize(dom, 2.0**-6)
     with pytest.raises(RuntimeError, match="undercuts"):
         profile_search(gd, 0.24)
+
+
+# ---------------------------------------------------------------------------
+# the flip search against the whole-grid search it replaced
+
+
+def _touches(a, b):
+    """Cells of b adjacent (face-wise) to at least one cell of a."""
+    out = np.zeros_like(b)
+    for lo, hi in face_pairs(a.ndim):
+        out[lo] |= a[hi]
+        out[hi] |= a[lo]
+    return out & b
+
+
+def _reference_local_search(gd, mask, s, budget, seed):
+    """The whole-grid flip search: every step rescans the grid for both move
+    pools and recounts every face, and the best set is a copy of the mask."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1505]))
+    occ = gd.occupancy
+    need = isoperimetry._cells_needed(gd, s)
+    best = mask.copy()
+    best_faces = isoperimetry._face_count(best, occ)
+    cur = best.copy()
+    cur_faces = best_faces
+    for _ in range(budget):
+        boundary_in = np.argwhere(_touches(~cur & occ, cur))
+        boundary_out = np.argwhere(_touches(cur, occ & ~cur))
+        moves = []
+        if cur.sum() > need and len(boundary_in):
+            moves.append(("drop", boundary_in))
+        if len(boundary_out):
+            moves.append(("add", boundary_out))
+        if not moves:
+            break
+        kind, pool = moves[rng.integers(len(moves))]
+        idx = tuple(pool[rng.integers(len(pool))])
+        cur[idx] = kind == "add"
+        cur_faces = isoperimetry._face_count(cur, occ)
+        if cur_faces <= best_faces and cur.sum() >= need:
+            best = cur.copy()
+            best_faces = cur_faces
+        elif cur_faces > best_faces + 4:
+            cur = best.copy()
+            cur_faces = best_faces
+    return best
+
+
+def _search(monkeypatch, local_search, gd, s, budget, seed):
+    """profile_search JSON and the masks its local search returned."""
+    masks = []
+
+    def recording(*args):
+        masks.append(local_search(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(isoperimetry, "_local_search", recording)
+    try:
+        return profile_search(gd, s, budget=budget, seed=seed).to_json(), masks
+    finally:
+        monkeypatch.undo()
+
+
+def _assert_matches_reference(monkeypatch, gd, s, budget, seed):
+    got_json, got_masks = _search(monkeypatch, isoperimetry._local_search, gd, s, budget, seed)
+    want_json, want_masks = _search(monkeypatch, _reference_local_search, gd, s, budget, seed)
+    assert got_json == want_json
+    assert len(got_masks) == len(want_masks) == (budget > 0)
+    for got, want in zip(got_masks, want_masks):
+        assert np.array_equal(got, want)
+
+
+# sha256 of the profile_search JSON followed by the local-search mask bytes,
+# from the whole-grid search at 2000 flips on rectangle(0.5) at h = 2^-7
+# (running the reference there takes 0.4 s a case); keyed by s, every seed
+# 0-9 gives the same digest
+_REFERENCE_DIGESTS_B2000 = {0.05: "75e13acfb2984591", 0.2: "c962c23d4ad3b5fd"}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flip_search_matches_the_whole_grid_search(monkeypatch, rect_g7, seed):
+    for s in (0.05, 0.2):
+        for budget in (0, 300):
+            _assert_matches_reference(monkeypatch, rect_g7, s, budget, seed)
+        text, masks = _search(monkeypatch, isoperimetry._local_search, rect_g7, s, 2000, seed)
+        digest = hashlib.sha256(text.encode() + masks[0].tobytes()).hexdigest()[:16]
+        assert digest == _REFERENCE_DIGESTS_B2000[s]
+        if seed == 0:
+            _assert_matches_reference(monkeypatch, rect_g7, s, 2000, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flip_search_matches_the_whole_grid_search_at_2_8(monkeypatch, seed):
+    gd = rasterize(rectangle(0.5), 2.0**-8)
+    for s in (0.05, 0.2):
+        _assert_matches_reference(monkeypatch, gd, s, 300, seed)
+
+
+@pytest.mark.parametrize("dom, h, s", [
+    (gallery("skyscrapers", kmax=3), 2.0**-6, 0.5),
+    (gallery("punctured_ball2"), 2.0**-6, 0.3),
+    (gallery("cube3"), 2.0**-4, 0.3),
+], ids=["skyscrapers", "punctured_ball2", "cube3"])
+def test_flip_search_matches_the_whole_grid_search_off_the_rectangle(monkeypatch, dom, h, s):
+    _assert_matches_reference(monkeypatch, rasterize(dom, h), s, 300, 0)
+
+
+def _ragged_ball(gd, s):
+    """The cells s needs nearest the bbox centre, in a randomly stretched
+    metric.  Candidate masks are often local minima, where every flip is
+    undone; from this start the search improves and ties many times, so
+    equal results need equal draws along the whole path."""
+    rng = np.random.default_rng(5)
+    mid = gd.domain.bbox.mean(axis=1)
+    d2 = np.sum((gd.centers() - mid) ** 2, axis=-1) * (1.0 + 0.5 * rng.random(gd.occupancy.shape))
+    return isoperimetry._nearest_cells(gd, d2, isoperimetry._cells_needed(gd, s))
+
+
+@pytest.mark.parametrize("dom, h, s", [
+    (rectangle(0.5), 2.0**-7, 0.05),
+    (rectangle(0.5), 2.0**-7, 0.2),
+    (gallery("skyscrapers", kmax=3), 2.0**-6, 0.5),
+    (gallery("cube3"), 2.0**-4, 0.2),
+], ids=["rectangle-0.05", "rectangle-0.2", "skyscrapers", "cube3"])
+def test_flip_search_from_a_ragged_start_follows_the_reference(dom, h, s):
+    gd = rasterize(dom, h)
+    start = _ragged_ball(gd, s)
+    start_faces = isoperimetry._face_count(start, gd.occupancy)
+    for seed in range(3):
+        got = isoperimetry._local_search(gd, start, s, 300, seed)
+        assert np.array_equal(got, _reference_local_search(gd, start, s, 300, seed))
+        assert isoperimetry._face_count(got, gd.occupancy) < start_faces
+
+
+def test_long_flip_search_from_a_ragged_start_follows_the_reference(rect_g7):
+    start = _ragged_ball(rect_g7, 0.05)
+    got = isoperimetry._local_search(rect_g7, start, 0.05, 2000, 0)
+    assert np.array_equal(got, _reference_local_search(rect_g7, start, 0.05, 2000, 0))
