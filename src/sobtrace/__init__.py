@@ -1,111 +1,25 @@
 """sobtrace: rearrangements, Lorentz quasinorms, distance-to-boundary
 fields, isoperimetric profiles, and zero-trace diagnostics on explicit
-planar and cube domains."""
+planar and cube domains.
 
-from .rearrangement import (
-    SampledFunction,
-    StepRearrangement,
-    distribution,
-    rearrange,
-)
-from .lorentz import (
-    AC_CONSISTENT,
-    AC_VIOLATED_AT_INFINITY,
-    AC_VIOLATED_AT_ZERO,
-    ACReport,
-    DistributionModel,
-    LorentzIndex,
-    ac_diagnostic,
-    conjugate_exponent,
-    embedding_constant,
-    holder_check,
-    lebesgue_norm,
-    lorentz_quasinorm,
-    lorentz_quasinorm_distribution,
-    model_weak_norm,
-    sierpinski_counterexample,
-    sierpinski_divergence_certificate,
-    sierpinski_model,
-    sierpinski_partial_integrals,
-    sierpinski_threshold,
-    weak_norm_tail,
-    weak_tail_extrapolate,
-)
-from .domains import (
-    BallPortionReport,
-    Domain,
-    GridDomain,
-    ProbeRow,
-    ball_portion_ratio,
-    ball_portion_scan,
-    ball_volume,
-    boundary_distance,
-    crocodile,
-    distance,
-    gallery,
-    punctured_ball,
-    rasterize,
-    rectangle,
-    render_svg,
-    rooms_and_passages,
-    skyscrapers,
-    squares_stack,
-    unit_cube,
-)
-from .isoperimetry import (
-    GridSet,
-    ProfilePoint,
-    RectangleProfile,
-    grid_perimeter,
-    profile_search,
-    rectangle_profile,
-    rooms_passages_witness,
-    skyscraper_profile_bound,
-    superadditivity_check,
-)
-from .traces import (
-    DiagnosticReport,
-    GridFunction,
-    OneDTraceReport,
-    SobolevNorm,
-    WeakNormEstimate,
-    approximation_scheme,
-    constant_function,
-    distance_function,
-    distance_truncation,
-    gradient_magnitude,
-    hardy_pointwise_check,
-    maximal_operator,
-    oned_zero_trace,
-    ratio_field,
-    sample_function,
-    sobolev_norm,
-    weak_norm_estimate,
-)
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports exactly those.
+"""
+
+from . import domains, isoperimetry, lorentz, rearrangement, traces
+from .domains import *  # noqa: F401,F403
+from .isoperimetry import *  # noqa: F401,F403
+from .lorentz import *  # noqa: F401,F403
+from .rearrangement import *  # noqa: F401,F403
+from .traces import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SampledFunction", "StepRearrangement", "distribution", "rearrange",
-    "LorentzIndex", "lorentz_quasinorm", "lorentz_quasinorm_distribution",
-    "lebesgue_norm", "conjugate_exponent", "embedding_constant", "holder_check",
-    "weak_norm_tail", "weak_tail_extrapolate", "model_weak_norm",
-    "DistributionModel", "ACReport", "ac_diagnostic",
-    "AC_CONSISTENT", "AC_VIOLATED_AT_ZERO", "AC_VIOLATED_AT_INFINITY",
-    "sierpinski_threshold", "sierpinski_counterexample", "sierpinski_model",
-    "sierpinski_partial_integrals", "sierpinski_divergence_certificate",
-    "Domain", "GridDomain", "ProbeRow", "BallPortionReport",
-    "ball_volume", "unit_cube", "punctured_ball", "rectangle",
-    "rooms_and_passages", "squares_stack", "crocodile", "skyscrapers",
-    "gallery", "distance", "rasterize", "ball_portion_ratio",
-    "ball_portion_scan", "render_svg", "boundary_distance",
-    "GridSet", "grid_perimeter", "superadditivity_check", "RectangleProfile",
-    "rectangle_profile", "skyscraper_profile_bound", "rooms_passages_witness",
-    "ProfilePoint", "profile_search",
-    "GridFunction", "sample_function", "distance_function", "constant_function",
-    "gradient_magnitude", "SobolevNorm", "sobolev_norm", "ratio_field",
-    "WeakNormEstimate", "weak_norm_estimate", "distance_truncation",
-    "DiagnosticReport", "approximation_scheme", "maximal_operator",
-    "hardy_pointwise_check", "OneDTraceReport", "oned_zero_trace",
+    *rearrangement.__all__,
+    *lorentz.__all__,
+    *domains.__all__,
+    *isoperimetry.__all__,
+    *traces.__all__,
     "__version__",
 ]

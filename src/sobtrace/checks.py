@@ -41,7 +41,24 @@ def cube_distribution_tail(seed):
     model = domains.unit_cube(2).ratio_models["inv_d"]
     err = max(abs(rearrangement.distribution(f, xi) - model.mu(xi))
               for xi in (8.0, 16.0, 32.0))
-    return [("max |grid mu - closed form| at xi = 8, 16, 32", err, "<=", 1e-12)]
+    # the collar {d <= eta}: d * 1{d <= eta} has L^p norm at most eta, and
+    # the collar's measure is 1 - (1 - 2 eta)^2 up to cell snapping
+    d = gd.distance_field[gd.occupancy]
+    etas = (0.2, 0.1, 0.05)
+    collars = [d[d <= eta] for eta in etas]
+    norm_ratio = max(float(np.sum(c**p) * gd.cell_measure) ** (1.0 / p) / eta
+                     for c, eta in zip(collars, etas) for p in (1.0, 2.0, 4.0))
+    measure_err = max(abs(c.size * gd.cell_measure - (1.0 - (1.0 - 2.0 * eta) ** 2))
+                      for c, eta in zip(collars, etas))
+    closed = 2.0 * 0.2**2 - (8.0 / 3.0) * 0.2**3
+    l1_err = abs(float(np.sum(collars[0])) * gd.cell_measure - closed) / closed
+    return [("max |grid mu - closed form| at xi = 8, 16, 32", err, "<=", 1e-12),
+            ("max over p = 1, 2, 4 and eta = 0.2, 0.1, 0.05 of ||d 1{d <= eta}||_p / eta",
+             norm_ratio, "<=", 1.0),
+            ("max over eta of |collar measure - (1 - (1 - 2 eta)^2)|",
+             measure_err, "<=", 4.0 * gd.h),
+            ("relative gap of ||d 1{d <= eta}||_1 to 2 eta^2 - 8 eta^3 / 3 at eta = 0.2",
+             l1_err, "<=", 1e-2)]
 
 
 def punctured_ball_ratio(seed):

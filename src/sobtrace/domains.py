@@ -21,7 +21,6 @@ from .report import Report, csv_text
 __all__ = [
     "Domain",
     "GridDomain",
-    "face_pairs",
     "ProbeRow",
     "BallPortionReport",
     "ball_volume",
@@ -33,14 +32,11 @@ __all__ = [
     "crocodile",
     "skyscrapers",
     "gallery",
-    "distance",
     "rasterize",
     "ball_portion_ratio",
     "ball_portion_scan",
     "render_svg",
     "boundary_distance",
-    "rooms_geometry",
-    "rooms_tail_cut",
 ]
 
 VIOLATED_SEQUENCE_FOUND = "VIOLATED_SEQUENCE_FOUND"
@@ -234,7 +230,6 @@ class Domain:
     descriptor: dict
     distance_fn: Callable | None = None
     boundary: tuple = ()
-    distance_distribution: Callable | None = None
     ratio_models: dict = field(default_factory=dict)
     violation_candidates: tuple = ()
     boundary_probes: tuple = ()
@@ -255,16 +250,6 @@ class Domain:
         return json.dumps(self.descriptor, sort_keys=True)
 
 
-def distance(dom: Domain, x) -> float:
-    """Exact distance to the boundary for a point of the domain."""
-    x = np.asarray(x, dtype=float)
-    if not bool(np.asarray(dom.inside(x))):
-        raise ValueError(f"point {x.tolist()} is not inside the domain")
-    if dom.distance_fn is None:
-        raise ValueError("domain has no exact distance oracle")
-    return float(np.asarray(dom.distance_fn(x)))
-
-
 # ---------------------------------------------------------------------------
 # gallery
 
@@ -282,11 +267,6 @@ def unit_cube(n: int = 2) -> Domain:
     def dist(pts):
         pts = np.asarray(pts, dtype=float)
         return np.min(np.minimum(pts, 1.0 - pts), axis=-1)
-
-    def dist_distribution(s: float) -> float:
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        return (1.0 - 2.0 * s) ** n if s < 0.5 else 0.0
 
     def mu_inv_d(xi: float) -> float:
         # measure of {1/d > xi}: 1 for xi <= 2, 1-(1-2/xi)^n beyond
@@ -334,7 +314,6 @@ def unit_cube(n: int = 2) -> Domain:
         measure=1.0,
         descriptor={"tag": "cube", "dimension": n},
         boundary=boundary,
-        distance_distribution=dist_distribution,
         ratio_models={"inv_d": model},
         boundary_probes=probes,
     )
@@ -356,11 +335,6 @@ def punctured_ball(n: int = 2) -> Domain:
         pts = np.asarray(pts, dtype=float)
         r = np.linalg.norm(pts, axis=-1)
         return np.minimum(r, 1.0 - r)
-
-    def dist_distribution(s: float) -> float:
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        return omega * ((1.0 - s) ** n - s**n) if s < 0.5 else 0.0
 
     def mu_ratio(xi: float) -> float:
         # u = 1 - |x|: u/d is 1 outside B(0,1/2) and 1/|x| - 1 inside
@@ -394,7 +368,6 @@ def punctured_ball(n: int = 2) -> Domain:
         measure=omega,
         descriptor={"tag": "punctured_ball", "dimension": n},
         boundary=boundary,
-        distance_distribution=dist_distribution,
         ratio_models={"hardy_ratio": model},
         boundary_probes=probes,
     )
@@ -981,8 +954,8 @@ def ball_portion_ratio(
     reproducible regardless of evaluation order.
     """
     x = np.asarray(x, dtype=float)
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r!r}")
     if mc_samples < 100:
         raise ValueError("mc_samples must be at least 100")
     if dom.boundary:
@@ -1047,8 +1020,8 @@ def ball_portion_scan(
     b_threshold yields the verdict VIOLATED_SEQUENCE_FOUND; otherwise
     PLAUSIBLY_SATISFIED with the probe infimum.
     """
-    if b_threshold <= 0:
-        raise ValueError("b_threshold must be positive")
+    if not 0.0 < b_threshold < math.inf:
+        raise ValueError(f"b_threshold must be positive and finite, got {b_threshold!r}")
     groups = []
     for seq in dom.violation_candidates:
         groups.append([(np.asarray(p, dtype=float), float(r)) for p, r in seq])

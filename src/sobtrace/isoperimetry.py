@@ -93,9 +93,8 @@ def superadditivity_check(E: GridSet) -> tuple[float, float]:
         covered |= p
     if not np.array_equal(covered, gd.occupancy):
         raise ValueError("parts do not cover the domain")
-    lhs = _perimeter(gd, _face_count(E.mask, gd.occupancy))
     rhs = _perimeter(gd, sum(_face_count(E.mask & p, p) for p in parts))
-    return float(lhs), float(rhs)
+    return float(grid_perimeter(E)), float(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,11 @@ from .rearrangement import SampledFunction, StepRearrangement, rearrange
 from .report import Report
 
 __all__ = [
-    "INF",
-    "LorentzIndex",
-    "lebesgue_norm",
-    "conjugate_exponent",
     "lorentz_quasinorm",
     "lorentz_quasinorm_distribution",
     "weak_norm_tail",
     "weak_tail_extrapolate",
     "embedding_constant",
-    "holder_check",
     "DistributionModel",
     "model_weak_norm",
     "ACReport",
@@ -50,7 +45,6 @@ __all__ = [
     "AC_CONSISTENT",
     "AC_VIOLATED_AT_ZERO",
     "AC_VIOLATED_AT_INFINITY",
-    "INCONCLUSIVE",
     "sierpinski_threshold",
     "sierpinski_counterexample",
     "sierpinski_model",
@@ -66,25 +60,22 @@ AC_VIOLATED_AT_INFINITY = "AC_VIOLATED_AT_INFINITY"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class LorentzIndex:
-    """Index pair (p, q) with 1 <= p <= inf and 1 <= q <= inf."""
+def _exponent(p: float, name: str = "p", finite: bool = False) -> None:
+    """Raise ValueError unless 1 <= p, and p < inf where finite is set.
 
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (1.0 <= self.p):
-            raise ValueError(f"p must be in [1, inf], got {self.p}")
-        if not (1.0 <= self.q):
-            raise ValueError(f"q must be in [1, inf], got {self.q}")
+    NaN fails both comparisons, so it is rejected too.
+    """
+    if not (1.0 <= p and (p < INF or not finite)):
+        bound = ")" if finite else "]"
+        raise ValueError(f"{name} must be in [1, inf{bound}, got {p!r}")
 
 
-def _as_index(idx) -> LorentzIndex:
-    if isinstance(idx, LorentzIndex):
-        return idx
-    p, q = idx
-    return LorentzIndex(float(p), float(q))
+def _as_index(idx) -> tuple[float, float]:
+    """The index pair (p, q) as floats, with 1 <= p, q <= inf."""
+    p, q = map(float, idx)
+    _exponent(p, "p")
+    _exponent(q, "q")
+    return p, q
 
 
 def _steps(f) -> StepRearrangement:
@@ -108,25 +99,6 @@ def _weak_sup(r: StepRearrangement, p: float, lo: float = 0.0, hi: float = INF) 
     return float(np.max(lv[sel] * r.breakpoints[1:][sel] ** (1.0 / p)))
 
 
-def lebesgue_norm(f: SampledFunction, p: float) -> float:
-    """Plain L^p norm of sampled data; p = inf gives the max value."""
-    if p == INF:
-        return float(f.values.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float(np.sum(f.values**p * f.measures) ** (1.0 / p))
-
-
-def conjugate_exponent(p: float) -> float:
-    if p == 1:
-        return INF
-    if p == INF:
-        return 1.0
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return p / (p - 1.0)
-
-
 def lorentz_quasinorm(f, idx) -> float:
     """L^{p,q} quasinorm via the rearranged form.
 
@@ -134,9 +106,8 @@ def lorentz_quasinorm(f, idx) -> float:
     level^q * (p/q) * (t_right^{q/p} - t_left^{q/p}); for q = inf the
     supremum sup t^{1/p} f*(t) is approached at right endpoints.
     """
-    idx = _as_index(idx)
+    p, q = _as_index(idx)
     r = _steps(f)
-    p, q = idx.p, idx.q
     lv = r.levels
     tl = r.breakpoints[:-1]
     tr = r.breakpoints[1:]
@@ -160,9 +131,8 @@ def lorentz_quasinorm_distribution(f, idx) -> float:
     T_j = mu_f(xi) for xi in [u_{j-1}, u_j); exactly equal to the rearranged
     form on step data.
     """
-    idx = _as_index(idx)
+    p, q = _as_index(idx)
     r = _steps(f)
-    p, q = idx.p, idx.q
     pos = r.levels > 0
     if not np.any(pos):
         return 0.0
@@ -183,10 +153,11 @@ def weak_norm_tail(f, xi_floor: float = 0.0, p: float = 1.0) -> float:
     With xi_floor = 0 this is the full L^{p,inf} quasinorm.  Accepts sampled
     data (exact) or a DistributionModel (dyadic ladder plus local refinement).
     """
-    if xi_floor < 0:
-        raise ValueError("xi_floor must be nonnegative")
+    if not 0.0 <= xi_floor < INF:
+        raise ValueError(f"xi_floor must be nonnegative and finite, got {xi_floor!r}")
+    _exponent(p)
     if isinstance(f, DistributionModel):
-        return model_weak_norm(f, p=p, xi_lo=max(xi_floor, 0.0) or None)
+        return model_weak_norm(f, p=p, xi_lo=xi_floor or None)
     r = _steps(f)
     best = _weak_sup(r, p, lo=xi_floor)
     if xi_floor > 0:
@@ -223,24 +194,12 @@ def embedding_constant(p: float, q: float, r: float) -> float:
 
     Requires 1 <= q <= r <= inf; 1/inf reads as 0.
     """
-    if not (1.0 <= p < INF):
-        raise ValueError("p must be in [1, inf)")
+    _exponent(p, finite=True)
     if not (1.0 <= q <= r):
         raise ValueError("need 1 <= q <= r")
     inv_q = 0.0 if q == INF else 1.0 / q
     inv_r = 0.0 if r == INF else 1.0 / r
     return float((p / q) ** (inv_q - inv_r)) if q != INF else 1.0
-
-
-def holder_check(f: SampledFunction, g: SampledFunction, p: float) -> tuple[float, float]:
-    """(int |f g|, ||f||_p ||g||_{p'}) for samples on the same cell partition."""
-    if f.values.shape != g.values.shape or not np.allclose(
-        f.measures, g.measures, rtol=1e-12, atol=0.0
-    ):
-        raise ValueError("f and g must share the same cell partition")
-    lhs = float(np.sum(f.values * g.values * f.measures))
-    rhs = lebesgue_norm(f, p) * lebesgue_norm(g, conjugate_exponent(p))
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +239,7 @@ def model_weak_norm(
     Suprema attained in the limit xi -> inf are reproduced to ~1e-17
     relative by the ladder top.
     """
+    _exponent(p)
     lo = xi_lo if xi_lo is not None else 2.0**-60
     hi = 2.0**60
     if not (0 < lo < hi):
@@ -388,8 +348,7 @@ def ac_diagnostic(f, p: float) -> ACReport:
     replaces the infinity ladder.  Each input kind walks a zero end that is
     still above threshold further down by its own step budget.
     """
-    if p < 1 or math.isinf(p):
-        raise ValueError("p must be finite and >= 1")
+    _exponent(p, finite=True)
     n = _N_PROBES
     notes: list[str] = []
     truncated = False
@@ -497,12 +456,17 @@ def ac_diagnostic(f, p: float) -> ACReport:
 # many decades below K
 _SIERPINSKI_CELLS = 400
 _SIERPINSKI_DECADES = 200.0
+# the largest p whose smallest cell measure, K (10^{-199.5} - 10^{-200}), is
+# a normal float (about 5.516); above it the cell measures lose precision
+# and then underflow to 0
+_SIERPINSKI_P_MAX = math.log(math.log(
+    (10.0 ** (-_SIERPINSKI_DECADES * (1.0 - 1.0 / _SIERPINSKI_CELLS))
+     - 10.0 ** -_SIERPINSKI_DECADES) / np.finfo(float).tiny))
 
 
 def sierpinski_threshold(p: float) -> float:
     """Right endpoint K = exp(-e^p) of the counterexample (K < 1 for p >= 1)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _exponent(p, finite=True)
     return math.exp(-math.exp(p))
 
 
@@ -515,9 +479,14 @@ def sierpinski_counterexample(p: float) -> SampledFunction:
 
     400 cells shrink geometrically from K down to K * 10^{-200}; mass below
     the last cell is truncated (the function is unbounded).  A zero-value
-    tail of measure 1 - K pads the measure space to unit measure.
+    tail of measure 1 - K pads the measure space to unit measure.  Raises
+    ValueError above p = 5.516, where the smallest cell measure stops being
+    a normal float.
     """
     K = sierpinski_threshold(p)
+    if p > _SIERPINSKI_P_MAX:
+        raise ValueError(f"p must be <= {_SIERPINSKI_P_MAX:.4f}, the largest p whose "
+                         f"smallest cell measure is a normal float; got {p!r}")
     n = _SIERPINSKI_CELLS
     edges = K * 10.0 ** (-_SIERPINSKI_DECADES * np.arange(n + 1) / n)
     # geometric means; the plain product of neighboring edges can underflow
@@ -582,8 +551,7 @@ def sierpinski_partial_integrals(p: float, q: float, eps_list) -> list[float]:
 
     Computed as int e^y / y^q dy over [loglog(1/K), loglog(1/eps)].
     """
-    if q == INF:
-        raise ValueError("q must be finite")
+    _exponent(q, "q", finite=True)
     from scipy.integrate import quad
 
     K = sierpinski_threshold(p)

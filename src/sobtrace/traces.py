@@ -15,7 +15,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domains import TRUSTED_LAYER_CELLS, GridDomain, face_pairs
-from .lorentz import INCONCLUSIVE, ACReport, _weak_sup, ac_diagnostic, weak_tail_extrapolate
+from .lorentz import (
+    INCONCLUSIVE,
+    ACReport,
+    _exponent,
+    _weak_sup,
+    ac_diagnostic,
+    weak_tail_extrapolate,
+)
 from .rearrangement import SampledFunction, rearrange
 from .report import Report, csv_text
 
@@ -30,7 +37,6 @@ __all__ = [
     "ratio_field",
     "WeakNormEstimate",
     "weak_norm_estimate",
-    "distance_truncation",
     "DiagnosticReport",
     "approximation_scheme",
     "maximal_operator",
@@ -126,8 +132,7 @@ def _grid_lp(gd: GridDomain, field: np.ndarray, p: float) -> float:
 
 def sobolev_norm(u: GridFunction, p: float) -> SobolevNorm:
     """(||u||_p, || |grad u| ||_p, combined first-order norm)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _exponent(p)
     gd = u.parent
     lp = _grid_lp(gd, u.values, p)
     gp = _grid_lp(gd, gradient_magnitude(u), p)
@@ -184,8 +189,7 @@ def weak_norm_estimate(u: GridFunction, p: float = 1.0) -> WeakNormEstimate:
     data range the field has no boundary-layer tail and the raw supremum,
     then unbiased, is used instead.
     """
-    if p < 1 or math.isinf(p):
-        raise ValueError("p must be finite and >= 1")
+    _exponent(p, finite=True)
     return _ratio_weak_norm(ratio_field(u), u.parent, p)
 
 
@@ -215,26 +219,6 @@ def _ratio_weak_norm(f: SampledFunction, gd: GridDomain, p: float) -> WeakNormEs
 
 # ---------------------------------------------------------------------------
 # truncation diagnostics
-
-
-def distance_truncation(u: GridFunction, eta: float) -> tuple[GridFunction, dict]:
-    """Zero out u on the collar {d <= eta}; report the removed measure."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    gd = u.parent
-    keep = gd.occupancy & (gd.distance_field > eta)
-    removed = gd.occupancy & ~keep
-    vals = np.where(keep, u.values, 0.0)
-    report = {
-        "eta": float(eta),
-        "removed_measure_grid": float(removed.sum()) * gd.cell_measure,
-        "removed_sup": float(np.abs(u.values[removed]).max()) if removed.any() else 0.0,
-    }
-    dd = gd.domain.distance_distribution
-    if dd is not None and gd.domain.measure is not None:
-        report["removed_measure_exact"] = gd.domain.measure - dd(eta)
-    label = f"{u.label}|d>{eta:g}" if u.label else f"trunc_{eta:g}"
-    return GridFunction(gd, vals, label), report
 
 
 # the scheme reads CONSISTENT once the last resolvable residual falls below
@@ -279,8 +263,7 @@ def approximation_scheme(u: GridFunction, p: float) -> DiagnosticReport:
     INCONSISTENT if residuals grow or stall at the same scale; INCONCLUSIVE
     otherwise.
     """
-    if p < 1 or math.isinf(p):
-        raise ValueError("p must be finite and >= 1")
+    _exponent(p, finite=True)
     gd = u.parent
     if np.any(u.values[gd.occupancy] < 0):
         raise ValueError("the scheme expects a nonnegative function")
@@ -470,8 +453,7 @@ def oned_zero_trace(
     """
     if not b > a:
         raise ValueError("need b > a")
-    if p < 1 or math.isinf(p):
-        raise ValueError("p must be finite and >= 1")
+    _exponent(p, finite=True)
     L = b - a
     xs = np.linspace(a, b, _ONED_SAMPLES + 1)
     vals = np.asarray(u(xs), dtype=float)

@@ -94,6 +94,11 @@ def test_scan_finds_squares_sequence(capsys):
     assert payload["probes"]
 
 
+def test_scan_rejects_a_nan_threshold(capsys):
+    assert main(["scan", "--gallery", "cube2", "--b-threshold", "nan"]) == 2
+    assert "b_threshold must be positive and finite" in capsys.readouterr().err
+
+
 def test_scan_output_is_deterministic(capsys):
     argv = ["scan", "--gallery", "squares_stack", "--kmax", "5",
             "--mc-samples", "1500", "--json"]

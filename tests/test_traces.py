@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from sobtrace import lorentz, traces
+from sobtrace import domains, lorentz, traces
 from sobtrace.domains import gallery, rasterize
 from sobtrace.lorentz import AC_VIOLATED_AT_INFINITY, lorentz_quasinorm
 from sobtrace.rearrangement import rearrange
@@ -19,7 +19,6 @@ from sobtrace.traces import (
     approximation_scheme,
     constant_function,
     distance_function,
-    distance_truncation,
     gradient_magnitude,
     hardy_pointwise_check,
     maximal_operator,
@@ -195,35 +194,6 @@ def test_weak_norm_validation(cube2_g6):
 
 # ---------------------------------------------------------------------------
 # truncation and the approximation scheme
-
-
-def test_distance_truncation_collar(cube2_g8):
-    u = constant_function(cube2_g8)
-    trunc, report = distance_truncation(u, 0.125)
-    assert report["removed_measure_grid"] == 0.4375
-    assert math.isclose(report["removed_measure_exact"], 0.4375, rel_tol=1e-12)
-    assert report["removed_sup"] == 1.0
-    collar = cube2_g8.occupancy & (cube2_g8.distance_field <= 0.125)
-    assert (trunc.values[collar] == 0.0).all()
-    with pytest.raises(ValueError):
-        distance_truncation(u, -0.1)
-
-
-def test_distance_truncation_residual_bound(cube2_g8):
-    d = distance_function(cube2_g8)
-    for p in (1.0, 2.0, 4.0):
-        for eta in (0.2, 0.1, 0.05):
-            trunc, report = distance_truncation(d, eta)
-            resid = GridFunction(cube2_g8, d.values - trunc.values, "resid")
-            assert sobolev_norm(resid, p).lp <= eta * 1.0 ** (1.0 / p)
-            # collar snapping quantizes the grid measure by O(h)
-            assert abs(report["removed_measure_grid"]
-                       - report["removed_measure_exact"]) <= 4.0 * cube2_g8.h
-    # the p=1 residual also matches its closed form 2 eta^2 - (8/3) eta^3
-    trunc, _ = distance_truncation(d, 0.2)
-    resid = GridFunction(cube2_g8, d.values - trunc.values, "resid")
-    closed = 2.0 * 0.2**2 - (8.0 / 3.0) * 0.2**3
-    assert math.isclose(sobolev_norm(resid, 1.0).lp, closed, rel_tol=1e-2)
 
 
 def test_scheme_zero_residuals_for_distance(cube2_g8):
@@ -472,3 +442,42 @@ def test_oned_validation():
         oned_zero_trace(np.sin, 1.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         oned_zero_trace(np.sin, 0.0, 1.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# exponents, thresholds and radii that are not numbers in range
+
+NAN = math.nan
+BAD_INPUTS = {
+    "ac_diagnostic(p=nan)": lambda u: lorentz.ac_diagnostic(ratio_field(u), NAN),
+    "weak_norm_estimate(p=nan)": lambda u: weak_norm_estimate(u, NAN),
+    "sobolev_norm(p=nan)": lambda u: sobolev_norm(u, NAN),
+    "approximation_scheme(p=nan)": lambda u: approximation_scheme(u, NAN),
+    "oned_zero_trace(p=nan)": lambda u: oned_zero_trace(np.sin, 0.0, 1.0, NAN),
+    "weak_norm_tail(p=nan)": lambda u: lorentz.weak_norm_tail(ratio_field(u), p=NAN),
+    "weak_norm_tail(p=0.5)": lambda u: lorentz.weak_norm_tail(ratio_field(u), p=0.5),
+    "model_weak_norm(p=nan)": lambda u: lorentz.model_weak_norm(
+        u.parent.domain.ratio_models["inv_d"], p=NAN),
+    "embedding_constant(p=nan)": lambda u: lorentz.embedding_constant(NAN, 1.0, 2.0),
+    "sierpinski_threshold(p=nan)": lambda u: lorentz.sierpinski_threshold(NAN),
+    "sierpinski_partial_integrals(q=nan)":
+        lambda u: lorentz.sierpinski_partial_integrals(1.0, NAN, [1e-4]),
+    "weak_norm_tail(xi_floor=nan)":
+        lambda u: lorentz.weak_norm_tail(ratio_field(u), xi_floor=NAN),
+    "weak_norm_tail(xi_floor=inf)":
+        lambda u: lorentz.weak_norm_tail(ratio_field(u), xi_floor=math.inf),
+    "ball_portion_scan(b_threshold=nan)":
+        lambda u: domains.ball_portion_scan(u.parent.domain, b_threshold=NAN),
+    "ball_portion_scan(b_threshold=inf)":
+        lambda u: domains.ball_portion_scan(u.parent.domain, b_threshold=math.inf),
+    "ball_portion_ratio(r=nan)":
+        lambda u: domains.ball_portion_ratio(u.parent.domain, (0.5, 0.0), NAN),
+    "ball_portion_ratio(r=inf)":
+        lambda u: domains.ball_portion_ratio(u.parent.domain, (0.5, 0.0), math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_inputs_raise(cube2_g6, case):
+    with pytest.raises(ValueError):
+        BAD_INPUTS[case](constant_function(cube2_g6))
