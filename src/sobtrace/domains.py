@@ -78,10 +78,9 @@ def _sum_sq(cols) -> np.ndarray:
     return s
 
 
-def _rows_dot(cols, v: np.ndarray) -> np.ndarray:
-    """The products rows @ v of the points in cols, rounded as numpy does
-    for two or more rows of an (M, n) array."""
-    rows = np.stack(cols, axis=-1)
+def _rows_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The products rows @ v of an (M, n) array, rounded as numpy does for
+    two or more rows."""
     if len(rows) == 1:
         # numpy sends one row to a dot kernel that rounds differently from
         # its matrix-vector kernel; a padded row takes the common path
@@ -103,11 +102,25 @@ def _squared_distance(prim, cols) -> np.ndarray:
         a = np.asarray(prim[1], dtype=float)
         d = np.asarray(prim[2], dtype=float) - a
         L2 = float(d @ d)
-        rel = [x - ai for x, ai in zip(cols, a)]
+        # the offsets x - a as the rows of one array, written in place
+        rel = np.empty((len(cols[0]), len(cols)))
+        for i, (x, ai) in enumerate(zip(cols, a)):
+            np.subtract(x, ai, out=rel[:, i])
         if L2 == 0.0:
-            return _sum_sq(rel)
-        t = np.clip(_rows_dot(rel, d) / L2, 0.0, 1.0)
-        return _sum_sq([x - (ai + t * di) for x, ai, di in zip(cols, a, d)])
+            return _sum_sq(rel.T)
+        t = _rows_dot(rel, d)
+        t /= L2
+        np.clip(t, 0.0, 1.0, out=t)
+        # (x - (a + t d))^2 summed axis by axis, in the buffers of the
+        # products t d; the last axis overwrites t
+        s = None
+        for i, (x, ai, di) in enumerate(zip(cols, a, d)):
+            q = np.multiply(t, di, out=t if i == len(cols) - 1 else None)
+            q += ai
+            np.subtract(x, q, out=q)
+            q *= q
+            s = q if s is None else np.add(s, q, out=s)
+        return s
     if prim[0] == "arc":
         _, c, R, a0, a1 = prim
         c = np.asarray(c, dtype=float)
@@ -177,7 +190,7 @@ def _tiled_min(primitives, cols) -> np.ndarray | None:
         ends = np.cumsum(c)
         idx = np.arange(ends[-1]) + np.repeat(starts[keep] - (ends - c), c)
         sq = _squared_distance(prim, [col[idx] for col in cols])
-        best[idx] = np.minimum(best[idx], sq)
+        best[idx] = np.minimum(best[idx], sq, out=sq)
     out = np.empty_like(best)
     out[order] = best
     return out
@@ -220,7 +233,10 @@ class Domain:
     ``inside`` and ``distance_fn`` take points along the last axis of an
     array; rasterize calls ``distance_fn`` only at points inside the domain.
     Without a ``distance_fn``, a domain with boundary primitives measures
-    the distance to them with ``boundary_distance``.
+    the distance to them with ``boundary_distance``.  ``boundary``
+    primitives, when given, must trace the whole boundary of the set where
+    ``inside`` holds: rasterize lets one cell decide a block of cells that
+    is far from every primitive.
     """
 
     dimension: int
@@ -356,7 +372,9 @@ def punctured_ball(n: int = 2) -> Domain:
     boundary = ()
     probes = ()
     if n == 2:
-        boundary = (("arc", (0.0, 0.0), 1.0, 0.0, 2.0 * math.pi),)
+        # the unit circle and the puncture, a segment of length 0
+        boundary = (("arc", (0.0, 0.0), 1.0, 0.0, 2.0 * math.pi),
+                    ("segment", (0.0, 0.0), (0.0, 0.0)))
         radii = (2.0**-3, 2.0**-4, 2.0**-5)
         probes = (((1.0, 0.0), radii), ((0.0, 1.0), radii))
 
@@ -851,6 +869,56 @@ def _cells_beyond(gd: GridDomain, axis: int, cut: float) -> np.ndarray:
     return gd.occupancy & sel.reshape(shape)
 
 
+# rasterize classifies the grid by blocks of _BLOCK_CELLS cells a side
+_BLOCK_CELLS = 16
+
+
+def _points(axes, mask) -> np.ndarray:
+    """The centres of the cells in mask, in row-major order, as (M, N) rows."""
+    pts = np.empty((np.count_nonzero(mask), len(axes)))
+    for i, ax in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[i] = -1
+        pts[:, i] = np.broadcast_to(ax.reshape(shape), mask.shape)[mask]
+    return pts
+
+
+def _block_cells(blocks: np.ndarray, shape) -> np.ndarray:
+    """Each block's value spread over its cells, in a grid of this shape."""
+    for axis, n in enumerate(shape):
+        blocks = np.repeat(blocks, _BLOCK_CELLS, axis=axis)[(slice(None),) * axis
+                                                            + (slice(n),)]
+    return np.ascontiguousarray(blocks)
+
+
+def _occupancy_by_blocks(dom: Domain, origin, h: float, counts) -> np.ndarray:
+    """dom.inside at every cell centre, found by blocks of cells.
+
+    The centres of a block of _BLOCK_CELLS cells a side lie within its
+    half-diagonal r of the block's centre.  A block whose centre is farther
+    than r (plus the rounding slack of ``_tiled_min``) from every boundary
+    primitive holds no boundary point, so its first cell decides all its
+    cells.  ``dom.inside`` is called once, on every cell of the other
+    blocks and the first cell of each block.
+    """
+    b = _BLOCK_CELLS
+    centres = [o + (np.arange(-(-n // b)) * b + 0.5 * b) * h
+               for o, n in zip(origin, counts)]
+    grid = np.stack(np.meshgrid(*centres, indexing="ij"), axis=-1)
+    r = 0.5 * (b - 1) * h * math.sqrt(len(counts))
+    lo = np.array([c[0] for c in centres])
+    hi = np.array([c[-1] for c in centres])
+    slack = _CULL_SLACK * _coordinate_scale(dom.boundary, lo, hi)
+    far = boundary_distance(dom.boundary, grid) > r + slack
+    near = _block_cells(~far, counts)
+    first = (slice(None, None, b),) * len(counts)
+    ask = near.copy()
+    ask[first] = True
+    seen = np.zeros(ask.shape, dtype=bool)
+    seen[ask] = dom.inside(_points(_center_axes(origin, h, counts), ask))
+    return np.where(near, seen, _block_cells(seen[first], counts))
+
+
 # rasterize refuses grids above this many cells (2^24 float64 cells hold
 # 128 MB per field, and the cell centres twice that in 2-D)
 _MAX_CELLS = 2**24
@@ -866,11 +934,15 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
 
     Cell (i_1, ..., i_N) is centered at origin + (i + 1/2) h.  Bounding-box
     sides that are not whole multiples of h are covered by ceil(side/h)
-    cells.  The inside predicate sees every cell centre; the distance oracle
-    ``dom.distance_fn`` sees only the centres inside the domain, as one
-    (M, N) array, and the distance field is 0 at the other cells.  The
-    grid's notes say when the domain's thinnest feature falls below 2h
-    (such features cannot hold any cell center reliably).  Raises
+    cells.  Without boundary primitives, the inside predicate sees every
+    cell centre.  With them, it sees the cells of the blocks near the
+    boundary and one cell of each block far from it, which decides the
+    whole block (see ``_occupancy_by_blocks``); the occupancy is the same.
+    The distance oracle ``dom.distance_fn`` sees only the centres inside
+    the domain, as one (M, N) array in row-major order, and the distance
+    field is 0 at the other cells.  The grid's notes say when the domain's
+    thinnest feature falls below 2h (such features cannot hold any cell
+    center reliably).  Raises
     ValueError for a non-finite or non-positive h, an h above the smallest
     bounding-box side, a grid of more than ``_MAX_CELLS`` cells (before
     allocating it), a domain with no exact distance oracle, or a grid with
@@ -904,15 +976,15 @@ def rasterize(dom: Domain, h: float) -> GridDomain:
             "sub-resolution parts of the domain drop out of the grid"
         )
     origin = dom.bbox[:, 0].copy()
-    pts = _centers(origin, h, counts)
-    occ = np.asarray(dom.inside(pts), dtype=bool)
+    if dom.boundary:
+        occ = _occupancy_by_blocks(dom, origin, h, counts)
+    else:
+        occ = np.asarray(dom.inside(_centers(origin, h, counts)), dtype=bool)
     if not occ.any():
         raise ValueError(f"no cell center of the grid with h = {h:g} lies "
                          "inside the domain")
     dist_field = np.zeros(occ.shape)
-    # np.compress on the flat rows gathers several times faster than pts[occ]
-    inside_pts = np.compress(occ.ravel(), pts.reshape(-1, len(counts)), axis=0)
-    dist_field[occ] = dom.distance_fn(inside_pts)
+    dist_field[occ] = dom.distance_fn(_points(_center_axes(origin, h, counts), occ))
     return GridDomain(
         domain=dom,
         h=float(h),

@@ -462,11 +462,20 @@ _SIERPINSKI_DECADES = 200.0
 _SIERPINSKI_P_MAX = math.log(math.log(
     (10.0 ** (-_SIERPINSKI_DECADES * (1.0 - 1.0 / _SIERPINSKI_CELLS))
      - 10.0 ** -_SIERPINSKI_DECADES) / np.finfo(float).tiny))
+# the largest p whose threshold K = exp(-e^p) is a normal float (about
+# 6.5630); above it 1/K overflows and K turns subnormal, then 0
+_SIERPINSKI_THRESHOLD_P_MAX = math.log(math.log(1.0 / np.finfo(float).tiny))
 
 
 def sierpinski_threshold(p: float) -> float:
-    """Right endpoint K = exp(-e^p) of the counterexample (K < 1 for p >= 1)."""
+    """Right endpoint K = exp(-e^p) of the counterexample (K < 1 for p >= 1).
+
+    Raises ValueError above p = 6.5630, where K stops being a normal float.
+    """
     _exponent(p, finite=True)
+    if p > _SIERPINSKI_THRESHOLD_P_MAX:
+        raise ValueError(f"p must be <= {_SIERPINSKI_THRESHOLD_P_MAX:.4f}, the largest "
+                         f"p whose threshold exp(-e^p) is a normal float; got {p!r}")
     return math.exp(-math.exp(p))
 
 
@@ -483,10 +492,10 @@ def sierpinski_counterexample(p: float) -> SampledFunction:
     ValueError above p = 5.516, where the smallest cell measure stops being
     a normal float.
     """
-    K = sierpinski_threshold(p)
     if p > _SIERPINSKI_P_MAX:
         raise ValueError(f"p must be <= {_SIERPINSKI_P_MAX:.4f}, the largest p whose "
                          f"smallest cell measure is a normal float; got {p!r}")
+    K = sierpinski_threshold(p)
     n = _SIERPINSKI_CELLS
     edges = K * 10.0 ** (-_SIERPINSKI_DECADES * np.arange(n + 1) / n)
     # geometric means; the plain product of neighboring edges can underflow

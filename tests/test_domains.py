@@ -239,8 +239,110 @@ def test_tiles_skip_primitives_that_cannot_be_nearest(monkeypatch):
     assert 0 < sum(evaluated) <= 12 * occupied
 
 
+def _list_segment(prim, cols):
+    """The segment kernel as a list expression: one new array per step."""
+
+    def sum_sq(parts):
+        s = parts[0] * parts[0]
+        for c in parts[1:]:
+            s += c * c
+        return s
+
+    a = np.asarray(prim[1], dtype=float)
+    d = np.asarray(prim[2], dtype=float) - a
+    L2 = float(d @ d)
+    rel = [x - ai for x, ai in zip(cols, a)]
+    if L2 == 0.0:
+        return sum_sq(rel)
+    rows = np.stack(rel, axis=-1)
+    dot = (np.repeat(rows, 2, axis=0) @ d)[:1] if len(rows) == 1 else rows @ d
+    t = np.clip(dot / L2, 0.0, 1.0)
+    return sum_sq([x - (ai + t * di) for x, ai, di in zip(cols, a, d)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4096, 5000])
+def test_segment_kernel_matches_the_list_expression(m):
+    rng = np.random.default_rng([11, m])
+    segments = [
+        ("segment", (0.1, 0.2), (0.7, -0.3)),
+        ("segment", (-1.0, 0.0), (2.0**-12, 0.0)),
+        ("segment", (1.0 / 3.0, 2.0 / 9.0), (0.5, 1e-9)),
+        ("segment", (0.25, -0.75), (0.25, -0.75)),  # length 0
+    ]
+    for seg in segments:
+        pts = rng.uniform(-1.0, 1.0, size=(m, 2))
+        # points exactly at the two ends
+        pts[0] = seg[1]
+        pts[-1] = seg[2]
+        cols = [np.ascontiguousarray(pts[:, i]) for i in range(2)]
+        got = domains._squared_distance(seg, cols)
+        assert got.shape == (m,)
+        assert np.array_equal(got, _list_segment(seg, cols))
+        # a + 1 (b - a) may round off b by an ulp
+        assert got[-1] <= 1e-30
+
+
 # ---------------------------------------------------------------------------
 # rasterization
+
+
+# crocodile's occupied cells on its closed tooth edges, where d = 0
+_CROCODILE_ZERO_CELLS = {6: 13, 8: 54, 9: 106}
+
+
+@pytest.mark.parametrize("name", sorted(domains._GALLERY) + ["rectangle0.5"])
+def test_grids_match_the_whole_grid_reference(name):
+    """Occupancy is inside() at every centre and the distance field the
+    exact distance at the occupied ones, bit for bit, however the grid
+    was classified; h = 2^-2 ... 2^-9 (3-D to 2^-6)."""
+    dom = domains.rectangle(0.5) if name == "rectangle0.5" else gallery(name)
+    for k in range(2, 10 if dom.dimension < 3 else 7):
+        h = 2.0**-k
+        gd = rasterize(dom, h)
+        pts = gd.centers()
+        occ = gd.occupancy
+        assert np.array_equal(occ, dom.inside(pts))
+        occupied = pts[occ]
+        exact = (boundary_distance(dom.boundary, occupied) if dom.boundary
+                 else dom.distance_fn(occupied))
+        assert np.array_equal(gd.distance_field[occ], exact)
+        assert np.all(gd.distance_field[~occ] == 0.0)
+        sides = dom.bbox[:, 1] - dom.bbox[:, 0]
+        thin = dom.thinnest_feature is not None and dom.thinnest_feature < 2 * h
+        assert any("thinnest feature" in note for note in gd.notes) == thin
+        assert (any("covered by" in note for note in gd.notes)
+                == any(n * h != s for n, s in zip(occ.shape, sides)))
+        if name == "crocodile" and k in _CROCODILE_ZERO_CELLS:
+            # F1 stands as it was: these cells are occupied with d = 0
+            zero = occ & (gd.distance_field == 0.0)
+            assert int(zero.sum()) == _CROCODILE_ZERO_CELLS[k]
+        if name == "rooms_and_passages":
+            # cell counts that are not whole blocks
+            assert all(n % domains._BLOCK_CELLS for n in occ.shape)
+
+
+def test_rasterize_keeps_the_puncture_out():
+    # 201 cells a side put a centre exactly on the puncture, inside a block
+    # that is far from the unit circle
+    dom = gallery("punctured_ball2")
+    gd = rasterize(dom, 2.0 / 201)
+    assert gd.centers()[100, 100].tolist() == [0.0, 0.0]
+    assert not gd.occupancy[100, 100]
+    assert np.array_equal(gd.occupancy, dom.inside(gd.centers()))
+
+
+def test_inside_sees_only_cells_near_the_boundary():
+    seen = []
+    base = gallery("squares_stack")
+
+    def inside(pts):
+        seen.append(len(pts))
+        return base.inside(pts)
+
+    gd = rasterize(dataclasses.replace(base, inside=inside), 2.0**-9)
+    assert len(seen) == 1
+    # near-boundary cells and one cell per far block: 8.3 % of the grid
+    assert 0 < seen[0] <= 0.12 * gd.occupancy.size
 
 
 def test_rasterize_cube_is_exact():
@@ -313,6 +415,8 @@ def test_rasterize_measures_distance_at_inside_points_only():
     gd = rasterize(dom, 2.0**-6)
     (pts,) = seen
     assert pts.shape == (int(gd.occupancy.sum()), 2)
+    # the occupied centres in row-major order
+    assert np.array_equal(pts, gd.centers()[gd.occupancy])
     assert np.all(base.inside(pts))
     assert np.all(gd.distance_field[~gd.occupancy] == 0.0)
 

@@ -445,6 +445,18 @@ def test_threshold_value():
         sierpinski_threshold(0.5)
 
 
+def test_threshold_is_a_normal_float_up_to_its_bound():
+    # the bound is loglog(1/tiny) = 6.5630
+    model = sierpinski_model(6.56)
+    assert model.scale_hint > 0.0
+    assert sierpinski_threshold(6.56) >= np.finfo(float).tiny
+    for p in (6.6, 7.0):
+        with pytest.raises(ValueError, match=r"p must be <= 6\.5630"):
+            sierpinski_model(p)
+        with pytest.raises(ValueError, match=r"p must be <= 6\.5630"):
+            sierpinski_partial_integrals(p, 2.0, [1e-300])
+
+
 def test_weak_tail_value_at_1e12():
     model = sierpinski_model(1.0)
     t = 1e-12
@@ -476,6 +488,8 @@ def test_sampled_counterexample_p_range():
     assert np.all(np.isfinite(f.values))
     with pytest.raises(ValueError, match=r"p must be <= 5\.5160"):
         sierpinski_counterexample(6.0)
+    with pytest.raises(ValueError, match=r"p must be <= 5\.5160"):
+        sierpinski_counterexample(7.0)
 
 
 def test_model_ac_consistent_for_p1_and_p2():
